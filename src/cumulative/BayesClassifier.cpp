@@ -27,6 +27,28 @@ static double clampProbability(double P) {
   return P;
 }
 
+/// Composite Simpson over θ ∈ [0, 1] of exp(NodeLog(I)), the integrand's
+/// log at node I, accumulated with log-sum-exp so long trial sequences
+/// cannot underflow.  Both evaluation forms go through this one loop, so
+/// they perform the same additions in the same order.
+template <typename NodeLogFn>
+static double simpsonLogIntegral(NodeLogFn NodeLog) {
+  const double H = 1.0 / NumIntervals;
+  // The log Simpson weights (1 at the ends, 4 at odd nodes, 2 at even
+  // ones), computed once instead of once per node.
+  const double LogEndWeight = std::log(1.0);
+  const double LogOddWeight = std::log(4.0);
+  const double LogEvenWeight = std::log(2.0);
+  double LogAccum = -std::numeric_limits<double>::infinity();
+  for (int I = 0; I <= NumIntervals; ++I) {
+    const double LogWeight = (I == 0 || I == NumIntervals) ? LogEndWeight
+                             : (I % 2 == 1)                ? LogOddWeight
+                                                           : LogEvenWeight;
+    LogAccum = logAdd(LogAccum, NodeLog(I) + LogWeight);
+  }
+  return LogAccum + std::log(H / 3.0);
+}
+
 double
 BayesClassifier::logLikelihoodH0(const std::vector<BayesTrial> &Trials) {
   double LogSum = 0.0;
@@ -51,20 +73,9 @@ static double logLikelihoodAtTheta(const std::vector<BayesTrial> &Trials,
 
 double
 BayesClassifier::logLikelihoodH1(const std::vector<BayesTrial> &Trials) {
-  // Composite Simpson over θ ∈ [0, 1], accumulated with log-sum-exp so
-  // long trial sequences cannot underflow.
   const double H = 1.0 / NumIntervals;
-  double LogAccum = -std::numeric_limits<double>::infinity();
-  for (int I = 0; I <= NumIntervals; ++I) {
-    const double Theta = I * H;
-    double Weight = (I == 0 || I == NumIntervals) ? 1.0
-                    : (I % 2 == 1)                ? 4.0
-                                                  : 2.0;
-    const double LogTerm =
-        logLikelihoodAtTheta(Trials, Theta) + std::log(Weight);
-    LogAccum = logAdd(LogAccum, LogTerm);
-  }
-  return LogAccum + std::log(H / 3.0);
+  return simpsonLogIntegral(
+      [&](int I) { return logLikelihoodAtTheta(Trials, I * H); });
 }
 
 double
@@ -90,9 +101,28 @@ bool BayesClassifier::isErrorSource(const std::vector<BayesTrial> &Trials,
 // BayesAccumulator
 //===----------------------------------------------------------------------===//
 
-BayesAccumulator::BayesAccumulator() : NodeLogSums(NumIntervals + 1, 0.0) {}
+BayesAccumulator::BayesAccumulator() : NodeLogSums(NumIntervals + 1, 0.0) {
+  // Every empty accumulator has the same integral: derive it once, not
+  // once per new site (which a restore or the next trial re-derives
+  // anyway).
+  static const double EmptyLogH1 =
+      simpsonLogIntegral([](int) { return 0.0; });
+  LogH1 = EmptyLogH1;
+}
+
+BayesAccumulator::BayesAccumulator(const std::vector<BayesTrial> &Trials)
+    : NodeLogSums(NumIntervals + 1, 0.0) {
+  for (const BayesTrial &Trial : Trials)
+    foldTrial(Trial);
+  refresh();
+}
 
 void BayesAccumulator::addTrial(const BayesTrial &Trial) {
+  foldTrial(Trial);
+  refresh();
+}
+
+void BayesAccumulator::foldTrial(const BayesTrial &Trial) {
   ++NumTrials;
   const double X = clampProbability(Trial.Probability);
   // Exactly logLikelihoodH0's per-trial term, folded in arrival order so
@@ -105,6 +135,12 @@ void BayesAccumulator::addTrial(const BayesTrial &Trial) {
     const double PYes = clampProbability((1.0 - Theta) * X + Theta);
     NodeLogSums[I] += std::log(Trial.Observed ? PYes : 1.0 - PYes);
   }
+}
+
+void BayesAccumulator::refresh() {
+  // The batch logLikelihoodH1 integral with the per-node trial sums
+  // already in hand.
+  LogH1 = simpsonLogIntegral([this](int I) { return NodeLogSums[I]; });
 }
 
 void BayesAccumulator::serialize(ByteWriter &Writer) const {
@@ -131,19 +167,6 @@ bool BayesAccumulator::deserialize(ByteReader &Reader) {
   NumTrials = Trials;
   LogH0 = H0;
   NodeLogSums = std::move(Sums);
+  refresh();
   return true;
-}
-
-double BayesAccumulator::logLikelihoodH1() const {
-  // The batch logLikelihoodH1 loop with the per-node trial sums already
-  // in hand.
-  const double H = 1.0 / NumIntervals;
-  double LogAccum = -std::numeric_limits<double>::infinity();
-  for (int I = 0; I <= NumIntervals; ++I) {
-    double Weight = (I == 0 || I == NumIntervals) ? 1.0
-                    : (I % 2 == 1)                ? 4.0
-                                                  : 2.0;
-    LogAccum = logAdd(LogAccum, NodeLogSums[I] + std::log(Weight));
-  }
-  return LogAccum + std::log(H / 3.0);
 }

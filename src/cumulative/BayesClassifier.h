@@ -24,11 +24,14 @@
 ///
 /// Two evaluation forms exist: the batch statics (recompute over a trial
 /// vector) and BayesAccumulator, which folds trials in as they arrive and
-/// answers logBayesFactor() in O(#quadrature nodes) instead of
-/// O(#nodes × #trials).  The accumulator performs the identical additions
-/// in the identical order, so both forms produce bit-identical factors —
-/// what lets the patch server classify after every ingested summary
-/// without the per-summary cost growing with the fleet's history.
+/// keeps the factor current.  Folding a trial costs O(#quadrature nodes)
+/// — the per-node sums plus one re-derivation of the factor — and reading
+/// the factor is O(1), where the batch form is O(#nodes × #trials).  The
+/// accumulator performs the identical additions in the identical order,
+/// so both forms produce bit-identical factors.  That is what lets the
+/// patch server classify after every ingested summary at a cost of
+/// O(touched sites × nodes) per summary plus an O(1) threshold
+/// comparison per tracked site, independent of the fleet's history.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,8 +83,10 @@ private:
 };
 
 /// Incremental evaluation state for one site's trials: the running H0
-/// log likelihood plus the running per-θ-node log likelihoods of the
-/// Simpson quadrature.  addTrial is O(nodes); logBayesFactor is O(nodes)
+/// log likelihood, the running per-θ-node log likelihoods of the Simpson
+/// quadrature, and the H1 integral derived from them.  Every change to
+/// the sums (addTrial, the replay constructor, deserialize) re-derives
+/// the integral once, O(nodes); the likelihood and factor reads are O(1)
 /// regardless of how many trials have accumulated.  Bit-identical to the
 /// batch statics over the same trial sequence (same additions, same
 /// order).
@@ -89,13 +94,17 @@ class BayesAccumulator {
 public:
   BayesAccumulator();
 
+  /// Folds \p Trials in order, deriving the integral once at the end:
+  /// the replay path for state that stored trials but no sums.
+  explicit BayesAccumulator(const std::vector<BayesTrial> &Trials);
+
   void addTrial(const BayesTrial &Trial);
 
   size_t trialCount() const { return NumTrials; }
 
   double logLikelihoodH0() const { return LogH0; }
-  double logLikelihoodH1() const;
-  double logBayesFactor() const { return logLikelihoodH1() - LogH0; }
+  double logLikelihoodH1() const { return LogH1; }
+  double logBayesFactor() const { return LogH1 - LogH0; }
 
   /// Serializes the running sums (trial count, H0 sum, per-node sums) so
   /// accumulated classifier state survives a server restart.  Restoring
@@ -103,14 +112,21 @@ public:
   /// trials — and O(nodes) instead of O(trials × nodes).
   void serialize(ByteWriter &Writer) const;
 
-  /// Restores serialized sums; returns false (leaving the accumulator
-  /// untouched) when the stream is malformed or the quadrature node
-  /// count does not match this build's.
+  /// Restores serialized sums and re-derives the integral from them;
+  /// returns false (leaving the accumulator untouched) when the stream is
+  /// malformed or the quadrature node count does not match this build's.
   bool deserialize(ByteReader &Reader);
 
 private:
+  /// Adds one trial's terms to the running sums without re-deriving.
+  void foldTrial(const BayesTrial &Trial);
+  /// Re-derives LogH1 from NodeLogSums.
+  void refresh();
+
   size_t NumTrials = 0;
   double LogH0 = 0.0;
+  /// log P(X̄,Ȳ | H1) over the folded trials, kept current with the sums.
+  double LogH1 = 0.0;
   /// Running Σ_i log P(Y_i | θ_node, X_i) per quadrature node.
   std::vector<double> NodeLogSums;
 };

@@ -23,11 +23,11 @@ static constexpr size_t MaxTrackedSites = size_t(1) << 16;
 
 /// Most trials retained per site/pair.  At thousands of coin flips the
 /// Bayes factor has decided the site either way — further trials only
-/// grow the stored vector (classification reads the O(1) accumulator),
-/// so the long-lived server drops them instead of growing per-site
-/// state forever.  The accumulator stops folding at the same count so
-/// serialize → deserialize (which replays the stored trials) rebuilds
-/// the identical classifier state.
+/// grow the stored vector, so the long-lived server drops them instead
+/// of growing per-site state forever.  The accumulator stops folding at
+/// the same count, so a site past the cap costs nothing per summary and
+/// a v1 replay of the stored trials rebuilds the identical classifier
+/// state.
 static constexpr size_t MaxTrialsPerSite = size_t(1) << 12;
 
 void CumulativeIsolator::addRun(const RunSummary &Summary) {
@@ -82,8 +82,7 @@ CumulativeIsolator::classifyOverflows() const {
   const double Threshold = Classifier.logThreshold(NumSites);
 
   for (const auto &[Site, State] : OverflowSites) {
-    // O(nodes) from the incremental accumulator — classification after
-    // every ingested summary stays flat as the fleet's history grows
+    // O(1): the accumulator keeps the factor current as trials arrive
     // (bit-identical to recomputing over State.Trials).
     const double LogBF = State.Accum.logBayesFactor();
     if (LogBF <= Threshold)
@@ -232,6 +231,18 @@ std::vector<uint8_t> CumulativeIsolator::serialize() const {
   return Writer.buffer();
 }
 
+/// Rebuilds a site's accumulator once its trials are read: v2 restores
+/// the stored sums, v1 replays the trials.  Either way the factor is
+/// derived once per site, not once per trial.
+template <typename SiteState>
+static bool restoreAccumulator(SiteState &State, bool HasAccum,
+                               ByteReader &Reader) {
+  if (HasAccum)
+    return State.Accum.deserialize(Reader);
+  State.Accum = BayesAccumulator(State.Trials);
+  return true;
+}
+
 bool CumulativeIsolator::deserialize(const std::vector<uint8_t> &Buffer) {
   // Decode into locals and swap only on success — a torn state file must
   // never half-seed the accumulated history (all-or-nothing, like
@@ -259,10 +270,8 @@ bool CumulativeIsolator::deserialize(const std::vector<uint8_t> &Buffer) {
       Trial.Probability = Reader.readF64();
       Trial.Observed = Reader.readU8() != 0;
       State.Trials.push_back(Trial);
-      if (!HasAccum)
-        State.Accum.addTrial(Trial);
     }
-    if (HasAccum && !State.Accum.deserialize(Reader))
+    if (!restoreAccumulator(State, HasAccum, Reader))
       return false;
   }
   const uint64_t NumPairs = Reader.readU64();
@@ -277,10 +286,8 @@ bool CumulativeIsolator::deserialize(const std::vector<uint8_t> &Buffer) {
       Trial.Probability = Reader.readF64();
       Trial.Observed = Reader.readU8() != 0;
       State.Trials.push_back(Trial);
-      if (!HasAccum)
-        State.Accum.addTrial(Trial);
     }
-    if (HasAccum && !State.Accum.deserialize(Reader))
+    if (!restoreAccumulator(State, HasAccum, Reader))
       return false;
   }
   if (!Reader.atEnd())

@@ -91,14 +91,20 @@ public:
   uint64_t failedRunCount() const { return FailedRuns; }
   uint64_t corruptRunCount() const { return CorruptRuns; }
 
-  /// Sites whose Bayes factor crosses the threshold, best-first.
+  /// Sites whose Bayes factor crosses the threshold, best-first.  Each
+  /// tracked site's factor is kept current by addRun (O(nodes) per site a
+  /// summary touches), so classification is one O(1) threshold
+  /// comparison per tracked site plus sorting the findings — the cost of
+  /// ingesting a summary is O(touched sites × nodes), not O(tracked
+  /// sites × nodes).
   std::vector<CumulativeOverflowFinding> classifyOverflows() const;
   std::vector<CumulativeDanglingFinding> classifyDanglings() const;
 
-  /// Every tracked site's standing against the bar (thresholds computed
-  /// exactly as classify* computes them), worst-offender-first by
-  /// margin; \p MaxSites > 0 truncates to the top offenders so the
-  /// exported family stays bounded regardless of fleet history.
+  /// Every tracked site's standing against the bar (factors and
+  /// thresholds read exactly as classify* reads them, O(1) per site),
+  /// worst-offender-first by margin; \p MaxSites > 0 truncates to the top
+  /// offenders so the exported family stays bounded regardless of fleet
+  /// history.
   std::vector<SitePosterior> sitePosteriors(size_t MaxSites = 0) const;
 
   /// Runtime patches for everything currently classified as an error.
@@ -119,8 +125,8 @@ private:
   struct OverflowSiteState {
     std::vector<BayesTrial> Trials;
     /// Incremental classifier state over Trials (same order, so the
-    /// factor is bit-identical to a batch recompute) — keeps per-summary
-    /// classification cost flat as runs accumulate.
+    /// factor is bit-identical to a batch recompute); holds the current
+    /// factor, re-derived only when a trial is folded in or restored.
     BayesAccumulator Accum;
     uint32_t MaxPad = 0;
     uint32_t Observed = 0;

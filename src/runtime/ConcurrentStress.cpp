@@ -34,6 +34,13 @@ struct Mailbox {
   }
 };
 
+/// One worker's allocation counts, on its own cache line so counting
+/// adds no shared-line traffic to the contended window; summed at join.
+struct alignas(64) WorkerCounts {
+  uint64_t Allocations = 0;
+  uint64_t FailedAllocations = 0;
+};
+
 /// The stamp written into an object's first 8 bytes at allocation and
 /// checked at free: any slot handed to two threads at once scrambles it.
 uint64_t stampFor(const void *Ptr, uint64_t Nonce) {
@@ -49,9 +56,10 @@ exterminator::runConcurrentStress(Allocator &Alloc,
   const uint64_t Nonce = Config.Seed * 0x2545F4914F6CDD1Dull + 1;
 
   std::vector<Mailbox> Mailboxes(Threads);
-  std::atomic<uint64_t> TotalAllocations{0};
+  std::vector<WorkerCounts> Counts(Threads);
+  // Touched only on a stamp mismatch (and by the caller's sweep after the
+  // join), so one shared counter costs nothing on a healthy run.
   std::atomic<uint64_t> PatternFaults{0};
-  std::atomic<uint64_t> FailedAllocations{0};
   std::atomic<unsigned> Arrived{0};
 
   const auto Dispose = [&](void *Ptr) {
@@ -67,6 +75,7 @@ exterminator::runConcurrentStress(Allocator &Alloc,
     Resident.reserve(Config.ResidentPerThread + 1);
     std::vector<void *> Inbox;
     Mailbox &Outbox = Mailboxes[(Index + 1) % Threads];
+    WorkerCounts &Mine = Counts[Index];
 
     // Start barrier: align the contended window across workers (yield,
     // not spin — small hosts may timeslice all workers on one core).
@@ -96,10 +105,10 @@ exterminator::runConcurrentStress(Allocator &Alloc,
           Config.Sizes[Rng.nextBelow(Config.Sizes.size())];
       void *Ptr = Alloc.allocate(Size);
       if (!Ptr) {
-        FailedAllocations.fetch_add(1, std::memory_order_relaxed);
+        ++Mine.FailedAllocations;
         continue;
       }
-      TotalAllocations.fetch_add(1, std::memory_order_relaxed);
+      ++Mine.Allocations;
       *reinterpret_cast<uint64_t *>(Ptr) = stampFor(Ptr, Nonce);
 
       if (Config.ResidentPerThread == 0) {
@@ -141,8 +150,10 @@ exterminator::runConcurrentStress(Allocator &Alloc,
 
   ConcurrentStressResult Result;
   Result.Seconds = std::chrono::duration<double>(End - Start).count();
-  Result.Allocations = TotalAllocations.load();
+  for (const WorkerCounts &Worker : Counts) {
+    Result.Allocations += Worker.Allocations;
+    Result.FailedAllocations += Worker.FailedAllocations;
+  }
   Result.PatternFaults = PatternFaults.load();
-  Result.FailedAllocations = FailedAllocations.load();
   return Result;
 }

@@ -199,7 +199,10 @@ bool FileSink::close() {
 
 size_t MemorySource::read(void *Out, size_t Count) {
   const size_t Take = Count < Size - Offset ? Count : Size - Offset;
-  std::memcpy(Out, Data + Offset, Take);
+  // An empty source may have a null Data, and memcpy from null is
+  // undefined even for zero bytes.
+  if (Take)
+    std::memcpy(Out, Data + Offset, Take);
   Offset += Take;
   return Take;
 }

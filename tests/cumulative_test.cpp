@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
 
 using namespace exterminator;
 using namespace exterminator::testing_support;
@@ -489,6 +492,24 @@ TEST(BayesAccumulator, BitIdenticalToBatchRecompute) {
   }
 }
 
+TEST(BayesAccumulator, EmptyAndReplayedMatchBatch) {
+  // The default constructor's shared empty integral and the replay
+  // constructor's single derivation both equal the batch statics.
+  const std::vector<BayesTrial> None;
+  EXPECT_EQ(BayesAccumulator().logBayesFactor(),
+            BayesClassifier::logBayesFactor(None));
+  EXPECT_EQ(BayesAccumulator(None).logBayesFactor(),
+            BayesClassifier::logBayesFactor(None));
+  const std::vector<BayesTrial> Trials = {
+      {0.3, true}, {0.0, false}, {1.0, true}, {0.7, false}};
+  const BayesAccumulator Replayed(Trials);
+  EXPECT_EQ(Replayed.trialCount(), Trials.size());
+  EXPECT_EQ(Replayed.logLikelihoodH1(),
+            BayesClassifier::logLikelihoodH1(Trials));
+  EXPECT_EQ(Replayed.logBayesFactor(),
+            BayesClassifier::logBayesFactor(Trials));
+}
+
 TEST(CumulativeIsolator, DeserializedStateClassifiesIdentically) {
   // Round-tripping accumulated state must rebuild the incremental
   // classifier too: findings before and after are identical.
@@ -524,4 +545,191 @@ TEST(CumulativeIsolator, DeserializedStateClassifiesIdentically) {
     EXPECT_EQ(OriginalDanglings[I].DeferralTicks,
               RestoredDanglings[I].DeferralTicks);
   }
+}
+
+namespace {
+
+/// A test-side model of what the isolator stores for one site or pair:
+/// its retained trials (capped as the isolator caps them) and the batch
+/// factor over them, recomputed whenever those trials change.
+struct ModelSite {
+  std::vector<BayesTrial> Trials;
+  uint32_t Observed = 0;
+  uint64_t MaxValue = 0; ///< MaxPad or MaxFreeToFailure
+  double BatchLogBF = 0.0;
+  bool Stale = true;
+
+  void fold(double X, bool Y, uint64_t Value) {
+    // The isolator's per-site trial cap (MaxTrialsPerSite).
+    if (Trials.size() < 4096) {
+      Trials.push_back(BayesTrial{X, Y});
+      Stale = true;
+    }
+    if (Y) {
+      ++Observed;
+      MaxValue = std::max(MaxValue, Value);
+    }
+  }
+};
+
+struct IsolatorModel {
+  uint64_t Runs = 0, FailedRuns = 0, CorruptRuns = 0;
+  std::map<SiteId, ModelSite> Overflows;
+  std::map<uint64_t, ModelSite> Danglings;
+
+  void addRun(const RunSummary &Summary) {
+    ++Runs;
+    FailedRuns += Summary.Failed;
+    CorruptRuns += Summary.CorruptionObserved;
+    for (const OverflowTrial &T : Summary.OverflowTrials)
+      Overflows[T.AllocSite].fold(T.Probability, T.Observed, T.PadEstimate);
+    for (const DanglingTrial &T : Summary.DanglingTrials)
+      Danglings[(uint64_t(T.AllocSite) << 32) | T.FreeSite].fold(
+          T.Probability, T.Observed, T.FreeToFailure);
+    for (auto &[Site, State] : Overflows)
+      refresh(State);
+    for (auto &[Key, State] : Danglings)
+      refresh(State);
+  }
+
+  static void refresh(ModelSite &State) {
+    if (State.Stale)
+      State.BatchLogBF = BayesClassifier::logBayesFactor(State.Trials);
+    State.Stale = false;
+  }
+
+  /// The state as the v1 ("XCS1") format stored it: trials, no sums.
+  std::vector<uint8_t> v1Bytes() const {
+    ByteWriter W;
+    W.writeU32(0x58435331); // "XCS1"
+    W.writeU64(Runs);
+    W.writeU64(FailedRuns);
+    W.writeU64(CorruptRuns);
+    W.writeU64(Overflows.size());
+    for (const auto &[Site, State] : Overflows) {
+      W.writeU32(Site);
+      W.writeU32(static_cast<uint32_t>(State.MaxValue));
+      W.writeU32(State.Observed);
+      writeTrials(W, State.Trials);
+    }
+    W.writeU64(Danglings.size());
+    for (const auto &[Key, State] : Danglings) {
+      W.writeU64(Key);
+      W.writeU64(State.MaxValue);
+      W.writeU32(State.Observed);
+      writeTrials(W, State.Trials);
+    }
+    return W.buffer();
+  }
+
+  static void writeTrials(ByteWriter &W,
+                          const std::vector<BayesTrial> &Trials) {
+    W.writeU64(Trials.size());
+    for (const BayesTrial &Trial : Trials) {
+      W.writeF64(Trial.Probability);
+      W.writeU8(Trial.Observed ? 1 : 0);
+    }
+  }
+};
+
+/// Every factor the isolator reports — findings and posteriors alike —
+/// equals the batch recompute over that site's stored trials, bit for bit.
+void expectFactorsMatchBatch(const CumulativeIsolator &Isolator,
+                             const IsolatorModel &Model,
+                             const std::string &Where) {
+  for (const CumulativeOverflowFinding &F : Isolator.classifyOverflows()) {
+    const ModelSite &Site = Model.Overflows.at(F.AllocSite);
+    EXPECT_EQ(F.LogBayesFactor, Site.BatchLogBF) << Where;
+    EXPECT_EQ(F.TrialCount, Site.Trials.size()) << Where;
+  }
+  for (const CumulativeDanglingFinding &F : Isolator.classifyDanglings()) {
+    const ModelSite &Pair =
+        Model.Danglings.at((uint64_t(F.AllocSite) << 32) | F.FreeSite);
+    EXPECT_EQ(F.LogBayesFactor, Pair.BatchLogBF) << Where;
+    EXPECT_EQ(F.TrialCount, Pair.Trials.size()) << Where;
+  }
+  const std::vector<SitePosterior> Posteriors = Isolator.sitePosteriors();
+  ASSERT_EQ(Posteriors.size(),
+            Model.Overflows.size() + Model.Danglings.size())
+      << Where;
+  for (const SitePosterior &P : Posteriors) {
+    const ModelSite &Site =
+        P.Dangling
+            ? Model.Danglings.at((uint64_t(P.AllocSite) << 32) | P.FreeSite)
+            : Model.Overflows.at(P.AllocSite);
+    EXPECT_EQ(P.LogBayesFactor, Site.BatchLogBF) << Where;
+    EXPECT_EQ(P.TrialCount, Site.Trials.size()) << Where;
+  }
+}
+
+} // namespace
+
+TEST(CumulativeIsolator, KeptFactorsEqualBatchRecompute) {
+  // A seeded stream of clean and failed summaries: clean runs carry at
+  // most overflow trials, failed runs dangling trials too, two overflow
+  // sites and two pairs are guilty, and one site is driven past the
+  // per-site trial cap.  After every run, and after both restore paths,
+  // every reported factor must equal the batch recompute.
+  constexpr SiteId HeavySite = 0xffff;
+  RandomGenerator Rng(2024);
+  CumulativeIsolator Isolator;
+  IsolatorModel Model;
+  for (unsigned Run = 0; Run < 160; ++Run) {
+    RunSummary Summary;
+    Summary.Failed = Rng.chance(0.4);
+    Summary.CorruptionObserved = Rng.chance(Summary.Failed ? 0.7 : 0.1);
+    if (Summary.CorruptionObserved) {
+      for (SiteId Site = 1; Site <= 12; ++Site) {
+        if (!Rng.chance(0.6))
+          continue;
+        // Include the clamped extremes X = 0 and X = 1.
+        const double X = Site == 11 ? 0.0
+                         : Site == 12 ? 1.0
+                                      : 0.05 + 0.6 * Rng.nextDouble();
+        const bool Y = Site <= 2 ? Rng.chance(0.9) : Rng.chance(X);
+        Summary.OverflowTrials.push_back(OverflowTrial{
+            Site, X, Y, Y ? uint32_t(Rng.nextBelow(64)) : 0u});
+      }
+    }
+    if (Summary.Failed) {
+      for (SiteId Pair = 1; Pair <= 16; ++Pair) {
+        if (!Rng.chance(0.5))
+          continue;
+        const double X = 0.1 + 0.5 * Rng.nextDouble();
+        const bool Y = Pair <= 2 ? Rng.chance(0.95) : Rng.chance(X);
+        Summary.DanglingTrials.push_back(DanglingTrial{
+            0x100 + Pair, 0x200 + Pair % 5, X, Y,
+            Y ? Rng.nextBelow(1000) : 0});
+      }
+    }
+    // 64 trials a run for 80 runs: past the 4096 cap at run 104.
+    if (Run >= 40 && Run < 120)
+      for (unsigned T = 0; T < 64; ++T)
+        Summary.OverflowTrials.push_back(
+            OverflowTrial{HeavySite, 0.5, Rng.chance(0.5), 0});
+
+    Isolator.addRun(Summary);
+    Model.addRun(Summary);
+    const std::string Where = "after run " + std::to_string(Run);
+    expectFactorsMatchBatch(Isolator, Model, Where);
+    if (::testing::Test::HasFailure())
+      return;
+
+    if (Run == 80 || Run == 130 || Run == 159) {
+      // v2 restore: sums from the buffer, factor derived once per site.
+      CumulativeIsolator Restored;
+      ASSERT_TRUE(Restored.deserialize(Isolator.serialize()));
+      expectFactorsMatchBatch(Restored, Model, Where + " (v2 restore)");
+      // v1 replay: sums rebuilt from the stored trials.
+      CumulativeIsolator Replayed;
+      ASSERT_TRUE(Replayed.deserialize(Model.v1Bytes()));
+      expectFactorsMatchBatch(Replayed, Model, Where + " (v1 replay)");
+      EXPECT_EQ(Replayed.serialize(), Isolator.serialize()) << Where;
+      // The rest of the stream folds into the restored state.
+      Isolator = Restored;
+    }
+  }
+  EXPECT_EQ(Model.Overflows.at(HeavySite).Trials.size(), 4096u);
+  EXPECT_FALSE(Isolator.classifyOverflows().empty());
+  EXPECT_FALSE(Isolator.classifyDanglings().empty());
 }

@@ -177,6 +177,47 @@ TEST(DiagnosisPipeline, SummariesAccumulateInCumulativeState) {
   EXPECT_EQ(Pipeline.cumulative().failedRunCount(), 3u);
 }
 
+TEST(DiagnosisPipeline, SummaryWithoutTrialsChangesNothing) {
+  // A clean run carries no trials: ingesting it touches no site's
+  // factor, so the findings, the active set and its epoch stay put.
+  DiagnosisPipeline Pipeline;
+  RunSummary Failing;
+  Failing.Failed = true;
+  Failing.CorruptionObserved = true;
+  Failing.OverflowTrials.push_back(OverflowTrial{0xaaaa, 0.3, true, 8});
+  Failing.DanglingTrials.push_back(
+      DanglingTrial{0xbbbb, 0xcccc, 0.5, true, 40});
+  CumulativeDiagnosis Before;
+  for (int I = 0; I < 30; ++I)
+    Before = Pipeline.submitSummary(Failing, /*CleanStreak=*/0);
+  ASSERT_FALSE(Before.Overflows.empty());
+  ASSERT_FALSE(Before.Danglings.empty());
+  const PatchSet ActiveBefore = Pipeline.patches();
+  const uint64_t EpochBefore = Pipeline.epoch();
+
+  const CumulativeDiagnosis After =
+      Pipeline.submitSummary(RunSummary(), /*CleanStreak=*/1);
+  ASSERT_EQ(After.Overflows.size(), Before.Overflows.size());
+  for (size_t I = 0; I < After.Overflows.size(); ++I) {
+    EXPECT_EQ(After.Overflows[I].AllocSite, Before.Overflows[I].AllocSite);
+    EXPECT_EQ(After.Overflows[I].LogBayesFactor,
+              Before.Overflows[I].LogBayesFactor);
+    EXPECT_EQ(After.Overflows[I].PadBytes, Before.Overflows[I].PadBytes);
+  }
+  ASSERT_EQ(After.Danglings.size(), Before.Danglings.size());
+  for (size_t I = 0; I < After.Danglings.size(); ++I) {
+    EXPECT_EQ(After.Danglings[I].AllocSite, Before.Danglings[I].AllocSite);
+    EXPECT_EQ(After.Danglings[I].FreeSite, Before.Danglings[I].FreeSite);
+    EXPECT_EQ(After.Danglings[I].LogBayesFactor,
+              Before.Danglings[I].LogBayesFactor);
+    EXPECT_EQ(After.Danglings[I].DeferralTicks,
+              Before.Danglings[I].DeferralTicks);
+  }
+  EXPECT_TRUE(Pipeline.patches() == ActiveBefore);
+  EXPECT_EQ(Pipeline.epoch(), EpochBefore);
+  EXPECT_EQ(Pipeline.cumulative().runCount(), 31u);
+}
+
 TEST(DiagnosisPipeline, DeferralDoublingOnContinuedFailure) {
   DiagnosisPipeline Pipeline;
   // Preload an applied deferral, as if an earlier episode patched it.

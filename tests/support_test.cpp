@@ -761,6 +761,23 @@ TEST(Serializer, StreamReaderReadsMemorySource) {
   EXPECT_TRUE(Reader.failed()); // sticky past-end failure
 }
 
+TEST(Serializer, EmptyMemorySourceReadsNothing) {
+  // An empty vector's data() may be null; reading from it must return 0
+  // without touching the pointer (UBSan flags a null memcpy source).
+  const std::vector<uint8_t> Empty;
+  MemorySource Source(Empty);
+  uint8_t Byte = 0x5a;
+  EXPECT_EQ(Source.read(&Byte, 1), 0u);
+  EXPECT_EQ(Source.read(&Byte, 0), 0u);
+  EXPECT_EQ(Byte, 0x5a);
+  EXPECT_EQ(Source.remaining(), 0u);
+
+  MemorySource Null(nullptr, 0);
+  StreamReader Reader(Null);
+  Reader.readU32();
+  EXPECT_TRUE(Reader.failed());
+}
+
 TEST(Serializer, FileSinkSourceRoundTrip) {
   const std::string Path = ::testing::TempDir() + "/stream_test.bin";
   {
