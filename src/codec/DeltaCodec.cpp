@@ -4,8 +4,8 @@
 
 #include "diefast/Canary.h"
 
-#include <algorithm>
 #include <cstring>
+#include <optional>
 
 using namespace exterminator;
 using namespace exterminator::imagedetail;
@@ -16,35 +16,16 @@ static uint64_t canaryWordOf(const HeapImage &Image) {
   return Canary::fromValue(Image.CanaryValue).patternWord();
 }
 
-/// True when slot \p Loc can join a virgin region run (mirrors the plain
-/// body encoder's predicate).
-static bool isVirginSlot(const HeapImage &Image, const ImageLocation &Loc,
-                         uint64_t &WordOut) {
-  if (Image.slotFlags(Loc) != 0 || Image.objectId(Loc) != 0 ||
-      Image.freeTime(Loc) != 0 || Image.allocSite(Loc) != 0 ||
-      Image.freeSite(Loc) != 0 || Image.requestedSize(Loc) != 0)
-    return false;
-  const SlotContents Contents = Image.contents(Loc);
-  if (Contents.runCount() != 1)
-    return false;
-  const ContentsRun &Run = Contents.run(0);
-  if (Run.RunKind != ContentsRun::Pattern)
-    return false;
-  WordOut = Run.Word;
-  return true;
-}
-
-/// Metadata equality between \p Loc in \p Image and \p BaseLoc in the
-/// base — the precondition for either reference tag.
-static bool metadataMatches(const HeapImage &Image, const ImageLocation &Loc,
-                            const HeapImage &Base,
-                            const ImageLocation &BaseLoc, uint64_t ObjectSize) {
-  return Base.miniheap(BaseLoc).ObjectSize == ObjectSize &&
-         Base.slotFlags(BaseLoc) == Image.slotFlags(Loc) &&
-         Base.freeTime(BaseLoc) == Image.freeTime(Loc) &&
-         Base.allocSite(BaseLoc) == Image.allocSite(Loc) &&
-         Base.freeSite(BaseLoc) == Image.freeSite(Loc) &&
-         Base.requestedSize(BaseLoc) == Image.requestedSize(Loc);
+/// Metadata equality between member slot \p G and base slot \p BaseSlot
+/// — with matching object sizes, the precondition for either reference
+/// tag.
+static bool metadataMatches(const SlotColumns &Member, uint64_t G,
+                            const SlotColumns &Base, uint64_t BaseSlot) {
+  return Base.Flags[BaseSlot] == Member.Flags[G] &&
+         Base.FreeTimes[BaseSlot] == Member.FreeTimes[G] &&
+         Base.AllocSites[BaseSlot] == Member.AllocSites[G] &&
+         Base.FreeSites[BaseSlot] == Member.FreeSites[G] &&
+         Base.RequestedSizes[BaseSlot] == Member.RequestedSizes[G];
 }
 
 /// Run-structure equality under canary substitution: a base pattern run
@@ -52,19 +33,18 @@ static bool metadataMatches(const HeapImage &Image, const ImageLocation &Loc,
 /// canary word in the member.  This is exactly the map the decoder
 /// applies, so a match guarantees bit-exact reconstruction
 /// (HeapImage::operator== compares run tables, not just bytes).
-static bool runsEqualSubstituted(const HeapImage &Base,
-                                 const ImageLocation &BaseLoc,
-                                 const HeapImage &Member,
-                                 const ImageLocation &Loc,
+static bool runsEqualSubstituted(const SlotColumns &Base, uint64_t BaseSlot,
+                                 const SlotColumns &Member, uint64_t G,
                                  uint64_t BaseCanaryWord,
                                  uint64_t MemberCanaryWord) {
-  const SlotContents CB = Base.contents(BaseLoc);
-  const SlotContents CM = Member.contents(Loc);
-  if (CB.runCount() != CM.runCount())
+  const uint32_t BaseFirst = Base.RunBegin[BaseSlot];
+  const uint32_t MemberFirst = Member.RunBegin[G];
+  const uint32_t NumRuns = Base.runEnd(BaseSlot) - BaseFirst;
+  if (Member.runEnd(G) - MemberFirst != NumRuns)
     return false;
-  for (size_t R = 0; R < CB.runCount(); ++R) {
-    const ContentsRun &RB = CB.run(R);
-    const ContentsRun &RM = CM.run(R);
+  for (uint32_t R = 0; R < NumRuns; ++R) {
+    const ContentsRun &RB = Base.Runs[BaseFirst + R];
+    const ContentsRun &RM = Member.Runs[MemberFirst + R];
     if (RB.RunKind != RM.RunKind || RB.Length != RM.Length)
       return false;
     if (RB.RunKind == ContentsRun::Pattern) {
@@ -72,75 +52,12 @@ static bool runsEqualSubstituted(const HeapImage &Base,
           RB.Word == BaseCanaryWord ? MemberCanaryWord : RB.Word;
       if (RM.Word != Expected)
         return false;
-    } else if (std::memcmp(Base.pool().data() + RB.PoolOffset,
-                           Member.pool().data() + RM.PoolOffset,
-                           RB.Length) != 0) {
+    } else if (std::memcmp(Base.Pool + RB.PoolOffset,
+                           Member.Pool + RM.PoolOffset, RB.Length) != 0) {
       return false;
     }
   }
   return true;
-}
-
-/// writeSlotContents with the delta-body extension: pattern runs of the
-/// image's own canary word become CanaryRun records (no word byte).
-static void writeSlotContentsDelta(StreamWriter &Writer,
-                                   const HeapImage &Image,
-                                   const SlotContents &Contents,
-                                   uint64_t CanaryWord) {
-  Writer.writeVarU64(Contents.runCount());
-  for (size_t R = 0; R < Contents.runCount(); ++R) {
-    const ContentsRun &Run = Contents.run(R);
-    if (Run.RunKind == ContentsRun::Pattern && Run.Word == CanaryWord) {
-      Writer.writeU8(CanaryRunKind);
-      Writer.writeVarU64(Run.Length);
-    } else if (Run.RunKind == ContentsRun::Pattern) {
-      Writer.writeU8(Run.RunKind);
-      Writer.writeVarU64(Run.Length);
-      Writer.writeU64(Run.Word);
-    } else {
-      Writer.writeU8(Run.RunKind);
-      Writer.writeVarU64(Run.Length);
-      Writer.writeBytes(Image.pool().data() + Run.PoolOffset, Run.Length);
-    }
-  }
-}
-
-/// readSlotContents accepting CanaryRun records.
-static bool readSlotContentsDelta(StreamReader &Reader, HeapImage &Image,
-                                  uint64_t ObjectSize, uint64_t CanaryWord,
-                                  std::vector<uint8_t> &Scratch) {
-  const uint64_t RunCount = Reader.readVarU64();
-  if (Reader.failed() || RunCount > ObjectSize / 8 + 1)
-    return false;
-  uint64_t Total = 0;
-  for (uint64_t R = 0; R < RunCount; ++R) {
-    const uint8_t Kind = Reader.readU8();
-    const uint64_t Length = Reader.readVarU64();
-    // Non-wrapping form: Total + Length could overflow on a corrupt
-    // varint and slip past the bound into a huge allocation.
-    if (Reader.failed() || Length == 0 || Length > ObjectSize - Total)
-      return false;
-    if (Kind == ContentsRun::Pattern || Kind == CanaryRunKind) {
-      if (Length % 8 != 0)
-        return false;
-      uint64_t Word = CanaryWord;
-      if (Kind == ContentsRun::Pattern) {
-        Word = Reader.readU64();
-        if (Reader.failed())
-          return false;
-      }
-      Image.addPatternRun(Word, static_cast<uint32_t>(Length));
-    } else if (Kind == ContentsRun::Literal) {
-      Scratch.resize(Length);
-      if (!Reader.readBytes(Scratch.data(), Length))
-        return false;
-      Image.addLiteralRun(Scratch.data(), Length);
-    } else {
-      return false;
-    }
-    Total += Length;
-  }
-  return Total == ObjectSize;
 }
 
 void exterminator::writeDeltaImageBody(StreamWriter &Writer,
@@ -148,43 +65,33 @@ void exterminator::writeDeltaImageBody(StreamWriter &Writer,
                                        const SiteDictionary &Sites,
                                        const HeapImageView *Base) {
   const uint64_t CanaryWord = canaryWordOf(Image);
-  const uint64_t BaseCanaryWord =
-      Base ? canaryWordOf(Base->image()) : uint64_t(0);
+  const SlotColumns Columns(Image);
+  std::optional<SlotColumns> BaseColumns;
+  uint64_t BaseCanaryWord = 0;
+  if (Base) {
+    BaseColumns.emplace(Base->image());
+    BaseCanaryWord = canaryWordOf(Base->image());
+  }
   Writer.writeVarU64(Image.miniheapCount());
 
-  for (uint32_t M = 0; M < Image.miniheapCount(); ++M) {
-    const ImageMiniheapInfo &Mini = Image.miniheapInfo(M);
-    Writer.writeVarU64(Mini.SizeClassIndex);
-    Writer.writeVarU64(Mini.ObjectSize);
-    Writer.writeU64(Mini.BaseAddress);
-    Writer.writeVarU64(Mini.CreationTime);
-    Writer.writeVarU64(Mini.NumSlots);
-
-    for (uint32_t S = 0; S < Mini.NumSlots;) {
-      const ImageLocation Loc{M, S};
-      uint64_t Word = 0;
-      if (isVirginSlot(Image, Loc, Word)) {
-        uint32_t Count = 1;
-        uint64_t NextWord = 0;
-        while (S + Count < Mini.NumSlots &&
-               isVirginSlot(Image, ImageLocation{M, S + Count}, NextWord) &&
-               NextWord == Word)
-          ++Count;
-        Writer.writeU8(VirginRunTag);
-        Writer.writeVarU64(Count);
-        Writer.writeU64(Word);
-        S += Count;
+  for (const ImageMiniheapInfo &Mini : Image.miniheaps()) {
+    writeMiniheapHeader(Writer, Mini);
+    const uint64_t End = Mini.FirstSlot + Mini.NumSlots;
+    for (uint64_t G = Mini.FirstSlot; G < End; ++G) {
+      if (const uint64_t Count = writeVirginRun(Writer, Columns, G, End)) {
+        G += Count - 1;
         continue;
       }
 
       // Reference the base image's slot for this object id when the
       // metadata agrees — the dominant case across replicated dumps.
-      const uint64_t ObjectId = Image.objectId(Loc);
+      const uint64_t ObjectId = Columns.ObjectIds[G];
       if (Base && ObjectId != 0) {
         if (const auto BaseLoc = Base->findById(ObjectId)) {
-          if (metadataMatches(Image, Loc, Base->image(), *BaseLoc,
-                              Mini.ObjectSize)) {
-            if (runsEqualSubstituted(Base->image(), *BaseLoc, Image, Loc,
+          const uint64_t BaseSlot = Base->image().globalSlot(*BaseLoc);
+          if (Base->image().miniheap(*BaseLoc).ObjectSize == Mini.ObjectSize &&
+              metadataMatches(Columns, G, *BaseColumns, BaseSlot)) {
+            if (runsEqualSubstituted(*BaseColumns, BaseSlot, Columns, G,
                                      BaseCanaryWord, CanaryWord)) {
               Writer.writeU8(SlotRefFullTag);
               Writer.writeVarU64(ObjectId);
@@ -193,64 +100,48 @@ void exterminator::writeDeltaImageBody(StreamWriter &Writer,
               // ship the contents, still elide the metadata.
               Writer.writeU8(SlotRefMetaTag);
               Writer.writeVarU64(ObjectId);
-              writeSlotContentsDelta(Writer, Image, Image.contents(Loc),
-                                     CanaryWord);
+              writeSlotContents(Writer, Columns, G, CanaryWord);
             }
-            ++S;
             continue;
           }
         }
       }
 
-      const uint8_t Flags = Image.slotFlags(Loc);
-      const bool HasMeta =
-          Image.objectId(Loc) != 0 || Image.freeTime(Loc) != 0 ||
-          Image.allocSite(Loc) != 0 || Image.freeSite(Loc) != 0 ||
-          Image.requestedSize(Loc) != 0;
-      Writer.writeU8(Flags | (HasMeta ? HasMetaBit : 0));
-      if (HasMeta) {
-        Writer.writeVarU64(Image.objectId(Loc));
-        Writer.writeVarU64(Image.freeTime(Loc));
-        Writer.writeVarU64(Sites.indexOf(Image.allocSite(Loc)));
-        Writer.writeVarU64(Sites.indexOf(Image.freeSite(Loc)));
-        Writer.writeVarU64(Image.requestedSize(Loc));
-      }
-      writeSlotContentsDelta(Writer, Image, Image.contents(Loc), CanaryWord);
-      ++S;
+      writePlainRecordHeader(Writer, Columns, G, Sites);
+      writeSlotContents(Writer, Columns, G, CanaryWord);
     }
   }
 }
 
-/// Copies the base slot's contents runs into \p Image's current slot
-/// under canary substitution, preserving run structure exactly (so a
-/// decoded bundle re-encodes byte-identically).
-static void copyBaseContents(HeapImage &Image, const HeapImage &Base,
-                             const ImageLocation &BaseLoc,
-                             uint64_t BaseCanaryWord,
+/// Copies base slot \p BaseSlot's contents runs into \p Image's current
+/// slot under canary substitution, preserving run structure exactly (so
+/// a decoded bundle re-encodes byte-identically).
+static void copyBaseContents(HeapImage &Image, const SlotColumns &Base,
+                             uint64_t BaseSlot, uint64_t BaseCanaryWord,
                              uint64_t MemberCanaryWord) {
-  const SlotContents Contents = Base.contents(BaseLoc);
-  for (size_t R = 0; R < Contents.runCount(); ++R) {
-    const ContentsRun &Run = Contents.run(R);
+  for (uint32_t R = Base.RunBegin[BaseSlot]; R < Base.runEnd(BaseSlot);
+       ++R) {
+    const ContentsRun &Run = Base.Runs[R];
     if (Run.RunKind == ContentsRun::Pattern)
       Image.addPatternRun(Run.Word == BaseCanaryWord ? MemberCanaryWord
                                                      : Run.Word,
                           Run.Length);
     else
-      Image.addLiteralRun(Base.pool().data() + Run.PoolOffset, Run.Length);
+      Image.addLiteralRun(Base.Pool + Run.PoolOffset, Run.Length);
   }
 }
 
-/// Resolves a reference tag's object id against the base; false on a
-/// corrupt reference (unknown id, size mismatch).
+/// Resolves a reference tag's object id to the base's global slot;
+/// false on a corrupt reference (unknown id, size mismatch).
 static bool resolveBaseRef(StreamReader &Reader, const HeapImageView &Base,
-                           uint64_t ObjectSize, ImageLocation &BaseLocOut) {
+                           uint64_t ObjectSize, uint64_t &BaseSlotOut) {
   const uint64_t ObjectId = Reader.readVarU64();
   if (Reader.failed() || ObjectId == 0)
     return false;
   const auto BaseLoc = Base.findById(ObjectId);
   if (!BaseLoc || Base.image().miniheap(*BaseLoc).ObjectSize != ObjectSize)
     return false;
-  BaseLocOut = *BaseLoc;
+  BaseSlotOut = Base.image().globalSlot(*BaseLoc);
   return true;
 }
 
@@ -259,85 +150,53 @@ bool exterminator::readDeltaImageBody(StreamReader &Reader, HeapImage &Image,
                                       const HeapImageView *Base,
                                       uint64_t &SlotBudget) {
   const uint64_t CanaryWord = canaryWordOf(Image);
-  const uint64_t BaseCanaryWord =
-      Base ? canaryWordOf(Base->image()) : uint64_t(0);
+  std::optional<SlotColumns> BaseColumns;
+  uint64_t BaseCanaryWord = 0;
+  if (Base) {
+    BaseColumns.emplace(Base->image());
+    BaseCanaryWord = canaryWordOf(Base->image());
+  }
   const uint64_t NumMiniheaps = Reader.readVarU64();
   if (Reader.failed() || NumMiniheaps > MaxMiniheaps)
     return false;
 
   std::vector<uint8_t> Scratch;
   for (uint64_t M = 0; M < NumMiniheaps; ++M) {
-    const uint64_t SizeClassIndex = Reader.readVarU64();
-    const uint64_t ObjectSize = Reader.readVarU64();
-    const uint64_t BaseAddress = Reader.readU64();
-    const uint64_t CreationTime = Reader.readVarU64();
-    const uint64_t NumSlots = Reader.readVarU64();
-    if (Reader.failed() || NumSlots > MaxSlotsPerMiniheap ||
-        NumSlots > SlotBudget || ObjectSize == 0 ||
-        ObjectSize > MaxObjectSizeBound || ObjectSize % 8 != 0)
+    uint64_t ObjectSize = 0, NumSlots = 0;
+    if (!readMiniheapHeader(Reader, Image, SlotBudget, ObjectSize, NumSlots))
       return false;
-    SlotBudget -= NumSlots;
-    Image.beginMiniheap(static_cast<uint32_t>(SizeClassIndex), ObjectSize,
-                        BaseAddress, CreationTime);
-    Image.reserveSlots(std::min(NumSlots, ReserveCap));
-
-    for (uint64_t S = 0; S < NumSlots;) {
+    for (uint64_t S = 0; S < NumSlots; ++S) {
       const uint8_t Tag = Reader.readU8();
       if (Reader.failed())
         return false;
       if (Tag == VirginRunTag) {
-        const uint64_t Count = Reader.readVarU64();
-        const uint64_t Word = Reader.readU64();
-        // Non-wrapping form (see readSlotContentsDelta).
-        if (Reader.failed() || Count == 0 || Count > NumSlots - S)
+        const uint64_t Count =
+            readVirginRun(Reader, Image, ObjectSize, NumSlots - S);
+        if (Count == 0)
           return false;
-        for (uint64_t I = 0; I < Count; ++I) {
-          Image.addSlot(0, 0, 0, 0, 0, 0);
-          Image.addPatternRun(Word, static_cast<uint32_t>(ObjectSize));
-        }
-        S += Count;
+        S += Count - 1;
         continue;
       }
       if (Tag == SlotRefFullTag || Tag == SlotRefMetaTag) {
         if (!Base)
           return false; // The first image has no base to reference.
-        ImageLocation BaseLoc;
-        if (!resolveBaseRef(Reader, *Base, ObjectSize, BaseLoc))
+        uint64_t BaseSlot = 0;
+        if (!resolveBaseRef(Reader, *Base, ObjectSize, BaseSlot))
           return false;
-        const HeapImage &B = Base->image();
-        Image.addSlot(B.slotFlags(BaseLoc), B.objectId(BaseLoc),
-                      B.freeTime(BaseLoc), B.allocSite(BaseLoc),
-                      B.freeSite(BaseLoc), B.requestedSize(BaseLoc));
+        const SlotColumns &B = *BaseColumns;
+        Image.addSlot(B.Flags[BaseSlot], B.ObjectIds[BaseSlot],
+                      B.FreeTimes[BaseSlot], B.AllocSites[BaseSlot],
+                      B.FreeSites[BaseSlot], B.RequestedSizes[BaseSlot]);
         if (Tag == SlotRefFullTag)
-          copyBaseContents(Image, B, BaseLoc, BaseCanaryWord, CanaryWord);
-        else if (!readSlotContentsDelta(Reader, Image, ObjectSize, CanaryWord,
-                                        Scratch))
+          copyBaseContents(Image, B, BaseSlot, BaseCanaryWord, CanaryWord);
+        else if (!readSlotContents(Reader, Image, ObjectSize, CanaryWord,
+                                   Scratch))
           return false;
-        ++S;
         continue;
       }
-      if (Tag & ~(FlagsMask | HasMetaBit))
+      if (!readPlainRecordHeader(Reader, Image, Tag, SiteTable) ||
+          !readSlotContents(Reader, Image, ObjectSize, CanaryWord, Scratch))
         return false;
-      uint64_t ObjectId = 0, FreeTime = 0, RequestedSize = 0;
-      SiteId AllocSite = 0, FreeSite = 0;
-      if (Tag & HasMetaBit) {
-        ObjectId = Reader.readVarU64();
-        FreeTime = Reader.readVarU64();
-        const uint64_t AllocIndex = Reader.readVarU64();
-        const uint64_t FreeIndex = Reader.readVarU64();
-        RequestedSize = Reader.readVarU64();
-        if (Reader.failed() || AllocIndex >= SiteTable.size() ||
-            FreeIndex >= SiteTable.size() || RequestedSize > ~uint32_t(0))
-          return false;
-        AllocSite = SiteTable[AllocIndex];
-        FreeSite = SiteTable[FreeIndex];
-      }
-      Image.addSlot(Tag & FlagsMask, ObjectId, FreeTime, AllocSite,
-                    FreeSite, static_cast<uint32_t>(RequestedSize));
-      if (!readSlotContentsDelta(Reader, Image, ObjectSize, CanaryWord,
-                                 Scratch))
-        return false;
-      ++S;
     }
   }
   return !Reader.failed();

@@ -65,8 +65,9 @@ inline constexpr uint8_t SlotRefFullTag = 0xfe;
 inline constexpr uint8_t SlotRefMetaTag = 0xfd;
 
 /// The third contents-run kind of delta bodies: a pattern run of the
-/// image's own canary fill word, carrying only a length.
-inline constexpr uint8_t CanaryRunKind = 2;
+/// image's own canary fill word, carrying only a length (defined with
+/// the shared record codecs, which read and write it).
+using imagedetail::CanaryRunKind;
 
 /// Writes \p Image's body delta-encoded against \p Base (null for the
 /// bundle's first image: CanaryRun encoding only, no references).  Site

@@ -16,6 +16,50 @@ static uint64_t randomInstanceId() {
   return Id ? Id : 1;
 }
 
+namespace {
+
+/// Column capacity, in slots across all images, past which a thread's
+/// SubmitImages evidence is released after use instead of kept for the
+/// next submission (~13 MB of columns; steady-state evidence is a few
+/// images of ~20k slots).
+constexpr size_t MaxRetainedSlots = size_t(1) << 18;
+
+/// Lends the calling thread's SubmitImages decode target.  Decoding into
+/// the same evidence every time keeps its columns' capacity, so
+/// steady-state submissions write into warm pages instead of faulting in
+/// a few MB of fresh columns per item (which the allocator returns to
+/// the OS between submissions).  One per thread, because isolation runs
+/// unlocked and concurrent submissions each need their own.  An outsized
+/// submission is released when its lease ends rather than pinned for
+/// the thread's lifetime.
+class EvidenceLease {
+public:
+  EvidenceLease() : Evidence(threadEvidence()) {}
+  ~EvidenceLease() {
+    size_t Slots = 0;
+    for (const std::vector<HeapImage> *Set :
+         {&Evidence.Primary, &Evidence.Fallback})
+      for (const HeapImage &Image : *Set)
+        Slots += Image.flagsColumn().capacity();
+    if (Slots > MaxRetainedSlots)
+      Evidence = ImageEvidence();
+  }
+  EvidenceLease(const EvidenceLease &) = delete;
+  EvidenceLease &operator=(const EvidenceLease &) = delete;
+
+  ImageEvidence &get() { return Evidence; }
+
+private:
+  static ImageEvidence &threadEvidence() {
+    static thread_local ImageEvidence PerThread;
+    return PerThread;
+  }
+
+  ImageEvidence &Evidence;
+};
+
+} // namespace
+
 ReplicationSink::~ReplicationSink() = default;
 
 PatchServer::PatchServer(const DiagnosisConfig &Config)
@@ -292,7 +336,8 @@ std::vector<uint8_t> PatchServer::dispatch(const Frame &Request) {
 
   switch (Request.Type) {
   case MessageType::SubmitImages: {
-    ImageEvidence Evidence;
+    EvidenceLease Lease;
+    ImageEvidence &Evidence = Lease.get();
     if (!decodeSubmitImages(Request.Payload, Evidence))
       return Reject("malformed image bundle");
     // Isolation is the expensive part and reads only immutable config —

@@ -216,6 +216,8 @@ bool sawVersionRejection(const std::vector<std::vector<uint8_t>> &Responses);
 std::vector<uint8_t>
 encodeSubmitImages(const ImageEvidence &Evidence,
                    uint32_t BundleVersion = ImageBundleFormatV2);
+/// Decodes in place: images already in \p EvidenceOut are reused (see
+/// deserializeImageBundle).
 bool decodeSubmitImages(const std::vector<uint8_t> &Payload,
                         ImageEvidence &EvidenceOut);
 

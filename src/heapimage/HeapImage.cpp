@@ -385,14 +385,62 @@ void HeapImage::appendFragment(const HeapImage &Fragment) {
   Pool.insert(Pool.end(), Fragment.Pool.begin(), Fragment.Pool.end());
 }
 
+void HeapImage::addVirginSlots(uint64_t Count, uint64_t Word,
+                               uint32_t ObjectSize) {
+  assert(!Miniheaps.empty() && "addVirginSlots before beginMiniheap");
+  const size_t Base = Flags.size();
+  const size_t End = Base + Count;
+  Miniheaps.back().NumSlots += Count;
+  Flags.resize(End);
+  ObjectIds.resize(End);
+  FreeTimes.resize(End);
+  AllocSites.resize(End);
+  FreeSites.resize(End);
+  RequestedSizes.resize(End);
+  RunBegin.resize(End);
+  const uint32_t FirstRun = static_cast<uint32_t>(Runs.size());
+  for (size_t I = 0; I < Count; ++I)
+    RunBegin[Base + I] = FirstRun + static_cast<uint32_t>(I);
+  ContentsRun Run;
+  Run.RunKind = ContentsRun::Pattern;
+  Run.Length = ObjectSize;
+  Run.Word = Word;
+  Runs.resize(FirstRun + Count);
+  std::fill_n(Runs.data() + FirstRun, Count, Run);
+}
+
 void HeapImage::reserveSlots(size_t Slots) {
-  Flags.reserve(Flags.size() + Slots);
-  ObjectIds.reserve(ObjectIds.size() + Slots);
-  FreeTimes.reserve(FreeTimes.size() + Slots);
-  AllocSites.reserve(AllocSites.size() + Slots);
-  FreeSites.reserve(FreeSites.size() + Slots);
-  RequestedSizes.reserve(RequestedSizes.size() + Slots);
-  RunBegin.reserve(RunBegin.size() + Slots);
+  const size_t Needed = Flags.size() + Slots;
+  auto Grow = [Needed](auto &Column) {
+    if (Needed > Column.capacity())
+      Column.reserve(std::max(Needed, 2 * Column.capacity()));
+  };
+  Grow(Flags);
+  Grow(ObjectIds);
+  Grow(FreeTimes);
+  Grow(AllocSites);
+  Grow(FreeSites);
+  Grow(RequestedSizes);
+  Grow(RunBegin);
+}
+
+void HeapImage::clear() {
+  AllocationTime = 0;
+  CanaryValue = 0;
+  CanaryFillProbability = 1.0;
+  Multiplier = 2.0;
+  HeapSeed = 0;
+  SourceFormatVersion = 2;
+  Miniheaps.clear();
+  Flags.clear();
+  ObjectIds.clear();
+  FreeTimes.clear();
+  AllocSites.clear();
+  FreeSites.clear();
+  RequestedSizes.clear();
+  RunBegin.clear();
+  Runs.clear();
+  Pool.clear();
 }
 
 bool HeapImage::operator==(const HeapImage &Other) const {

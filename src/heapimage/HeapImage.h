@@ -307,8 +307,22 @@ public:
   /// canonical encoder used by capture and v1 conversion).
   void addSlotBytes(const uint8_t *Data, size_t Size);
 
-  /// Reserves column capacity for \p Slots upcoming slots.
+  /// Appends \p Count virgin slots to the current miniheap: no metadata,
+  /// contents one pattern run of \p Word over \p ObjectSize bytes —
+  /// exactly what Count addSlot + addPatternRun calls produce, in one
+  /// bulk resize per column.  Columns are sized from \p Count, so
+  /// decoders validate it first.
+  void addVirginSlots(uint64_t Count, uint64_t Word, uint32_t ObjectSize);
+
+  /// Reserves column capacity for \p Slots upcoming slots.  Capacity
+  /// grows geometrically: decoders call this once per miniheap, and an
+  /// exact reserve would re-allocate and copy every column each time.
   void reserveSlots(size_t Slots);
+
+  /// Resets the image to the default-constructed state but keeps every
+  /// column's capacity, so decoding a stream of similar images into one
+  /// HeapImage stops allocating (and page-faulting) fresh columns.
+  void clear();
 
   /// Bulk capture of every slot of \p Mini into the current miniheap
   /// (which must just have been begun): columns are resized once and
@@ -329,6 +343,7 @@ public:
   //===--------------------------------------------------------------------===//
 
   const std::vector<ContentsRun> &runs() const { return Runs; }
+  const std::vector<uint32_t> &runBeginColumn() const { return RunBegin; }
   const std::vector<uint8_t> &pool() const { return Pool; }
   uint32_t slotFirstRun(uint64_t G) const { return RunBegin[G]; }
   uint32_t slotRunEnd(uint64_t G) const {

@@ -12,22 +12,37 @@ static constexpr uint32_t ImageMagicV1 = 0x58484931;
 static constexpr uint32_t ImageMagicV2 = 0x58484932;
 
 // The slot-record tag constants (VirginRunTag, HasMetaBit, FlagsMask)
-// live in ImageFormatDetail.h since PR 10: the delta body codec shares
-// them.
+// live in ImageFormatDetail.h: the delta body codec shares them.
 
 //===----------------------------------------------------------------------===//
 // Shared v2 body codec (ImageFormatDetail.h) — used by this file's
 // single-image format and by ImageBundle's multi-image format.
 //===----------------------------------------------------------------------===//
 
+imagedetail::SlotColumns::SlotColumns(const HeapImage &Image)
+    : Flags(Image.flagsColumn().data()),
+      ObjectIds(Image.objectIdColumn().data()),
+      FreeTimes(Image.freeTimeColumn().data()),
+      AllocSites(Image.allocSiteColumn().data()),
+      FreeSites(Image.freeSiteColumn().data()),
+      RequestedSizes(Image.requestedSizeColumn().data()),
+      RunBegin(Image.runBeginColumn().data()), Runs(Image.runs().data()),
+      Pool(Image.pool().data()), NumSlots(Image.totalSlots()),
+      NumRuns(static_cast<uint32_t>(Image.runs().size())) {}
+
 void imagedetail::SiteDictionary::collect(const HeapImage &Image) {
-  for (uint32_t M = 0; M < Image.miniheapCount(); ++M) {
-    const ImageMiniheapInfo &Mini = Image.miniheapInfo(M);
-    for (uint32_t S = 0; S < Mini.NumSlots; ++S) {
-      const ImageLocation Loc{M, S};
-      intern(Image.allocSite(Loc));
-      intern(Image.freeSite(Loc));
-    }
+  // Intern only where a column's value changes: neighbouring slots of
+  // one population share their sites, and re-interning a known site can
+  // never reorder the table, so first-appearance order is unchanged.
+  // Site 0 is interned at construction.
+  const SiteId *Alloc = Image.allocSiteColumn().data();
+  const SiteId *Free = Image.freeSiteColumn().data();
+  SiteId LastAlloc = 0, LastFree = 0;
+  for (size_t G = 0; G < Image.totalSlots(); ++G) {
+    if (Alloc[G] != LastAlloc)
+      intern(LastAlloc = Alloc[G]);
+    if (Free[G] != LastFree)
+      intern(LastFree = Free[G]);
   }
 }
 
@@ -67,91 +82,113 @@ bool imagedetail::readSiteTable(StreamReader &Reader,
   return !Reader.failed();
 }
 
-/// True when slot \p Loc can join a virgin region run: never allocated,
-/// no recorded history, and contents a single repeated word.
-static bool isVirginSlot(const HeapImage &Image, const ImageLocation &Loc,
-                         uint64_t &WordOut) {
-  if (Image.slotFlags(Loc) != 0 || Image.objectId(Loc) != 0 ||
-      Image.freeTime(Loc) != 0 || Image.allocSite(Loc) != 0 ||
-      Image.freeSite(Loc) != 0 || Image.requestedSize(Loc) != 0)
+void imagedetail::writeMiniheapHeader(StreamWriter &Writer,
+                                      const ImageMiniheapInfo &Mini) {
+  Writer.writeVarU64(Mini.SizeClassIndex);
+  Writer.writeVarU64(Mini.ObjectSize);
+  Writer.writeU64(Mini.BaseAddress);
+  Writer.writeVarU64(Mini.CreationTime);
+  Writer.writeVarU64(Mini.NumSlots);
+}
+
+bool imagedetail::readMiniheapHeader(StreamReader &Reader, HeapImage &Image,
+                                     uint64_t &SlotBudget,
+                                     uint64_t &ObjectSizeOut,
+                                     uint64_t &NumSlotsOut) {
+  const uint64_t SizeClassIndex = Reader.readVarU64();
+  const uint64_t ObjectSize = Reader.readVarU64();
+  const uint64_t BaseAddress = Reader.readU64();
+  const uint64_t CreationTime = Reader.readVarU64();
+  const uint64_t NumSlots = Reader.readVarU64();
+  if (Reader.failed() || NumSlots > MaxSlotsPerMiniheap ||
+      NumSlots > SlotBudget || ObjectSize == 0 ||
+      ObjectSize > MaxObjectSizeBound || ObjectSize % 8 != 0)
     return false;
-  const SlotContents Contents = Image.contents(Loc);
-  if (Contents.runCount() != 1)
+  SlotBudget -= NumSlots;
+  Image.beginMiniheap(static_cast<uint32_t>(SizeClassIndex), ObjectSize,
+                      BaseAddress, CreationTime);
+  Image.reserveSlots(std::min(NumSlots, ReserveCap));
+  ObjectSizeOut = ObjectSize;
+  NumSlotsOut = NumSlots;
+  return true;
+}
+
+uint64_t imagedetail::readVirginRun(StreamReader &Reader, HeapImage &Image,
+                                    uint64_t ObjectSize, uint64_t Remaining) {
+  const uint64_t Count = Reader.readVarU64();
+  const uint64_t Word = Reader.readU64();
+  // Non-wrapping form (see readSlotContents), checked before the bulk
+  // append sizes any column from Count.
+  if (Reader.failed() || Count == 0 || Count > Remaining)
+    return 0;
+  Image.addVirginSlots(Count, Word, static_cast<uint32_t>(ObjectSize));
+  return Count;
+}
+
+void imagedetail::writePlainRecordHeader(StreamWriter &Writer,
+                                         const SlotColumns &Columns,
+                                         uint64_t G,
+                                         const SiteDictionary &Sites) {
+  const bool HasMeta = Columns.hasMetadata(G);
+  Writer.writeU8(Columns.Flags[G] | (HasMeta ? HasMetaBit : 0));
+  if (!HasMeta)
+    return;
+  Writer.writeVarU64(Columns.ObjectIds[G]);
+  Writer.writeVarU64(Columns.FreeTimes[G]);
+  Writer.writeVarU64(Sites.indexOf(Columns.AllocSites[G]));
+  Writer.writeVarU64(Sites.indexOf(Columns.FreeSites[G]));
+  Writer.writeVarU64(Columns.RequestedSizes[G]);
+}
+
+bool imagedetail::readPlainRecordHeader(StreamReader &Reader,
+                                        HeapImage &Image, uint8_t Tag,
+                                        const std::vector<SiteId> &SiteTable) {
+  if (Tag & ~(FlagsMask | HasMetaBit))
     return false;
-  const ContentsRun &Run = Contents.run(0);
-  if (Run.RunKind != ContentsRun::Pattern)
-    return false;
-  WordOut = Run.Word;
+  uint64_t ObjectId = 0, FreeTime = 0, RequestedSize = 0;
+  SiteId AllocSite = 0, FreeSite = 0;
+  if (Tag & HasMetaBit) {
+    ObjectId = Reader.readVarU64();
+    FreeTime = Reader.readVarU64();
+    const uint64_t AllocIndex = Reader.readVarU64();
+    const uint64_t FreeIndex = Reader.readVarU64();
+    RequestedSize = Reader.readVarU64();
+    if (Reader.failed() || AllocIndex >= SiteTable.size() ||
+        FreeIndex >= SiteTable.size() || RequestedSize > ~uint32_t(0))
+      return false;
+    AllocSite = SiteTable[AllocIndex];
+    FreeSite = SiteTable[FreeIndex];
+  }
+  Image.addSlot(Tag & FlagsMask, ObjectId, FreeTime, AllocSite, FreeSite,
+                static_cast<uint32_t>(RequestedSize));
   return true;
 }
 
 void imagedetail::writeSlotContents(StreamWriter &Writer,
-                                    const HeapImage &Image,
-                                    const SlotContents &Contents) {
-  Writer.writeVarU64(Contents.runCount());
-  for (size_t R = 0; R < Contents.runCount(); ++R) {
-    const ContentsRun &Run = Contents.run(R);
+                                    const SlotColumns &Columns, uint64_t G,
+                                    std::optional<uint64_t> CanaryWord) {
+  const uint32_t First = Columns.RunBegin[G];
+  const uint32_t End = Columns.runEnd(G);
+  Writer.writeVarU64(End - First);
+  for (uint32_t R = First; R < End; ++R) {
+    const ContentsRun &Run = Columns.Runs[R];
+    if (Run.RunKind == ContentsRun::Pattern && Run.Word == CanaryWord) {
+      Writer.writeU8(CanaryRunKind);
+      Writer.writeVarU64(Run.Length);
+      continue;
+    }
     Writer.writeU8(Run.RunKind);
     Writer.writeVarU64(Run.Length);
     if (Run.RunKind == ContentsRun::Pattern)
       Writer.writeU64(Run.Word);
     else
-      Writer.writeBytes(Image.pool().data() + Run.PoolOffset, Run.Length);
-  }
-}
-
-void imagedetail::writeImageBody(StreamWriter &Writer, const HeapImage &Image,
-                                 const SiteDictionary &Sites) {
-  Writer.writeVarU64(Image.miniheapCount());
-
-  for (uint32_t M = 0; M < Image.miniheapCount(); ++M) {
-    const ImageMiniheapInfo &Mini = Image.miniheapInfo(M);
-    Writer.writeVarU64(Mini.SizeClassIndex);
-    Writer.writeVarU64(Mini.ObjectSize);
-    Writer.writeU64(Mini.BaseAddress);
-    Writer.writeVarU64(Mini.CreationTime);
-    Writer.writeVarU64(Mini.NumSlots);
-
-    for (uint32_t S = 0; S < Mini.NumSlots;) {
-      const ImageLocation Loc{M, S};
-      uint64_t Word = 0;
-      if (isVirginSlot(Image, Loc, Word)) {
-        // Collapse the whole virgin region (same fill word) to one
-        // record — the dominant population of an over-provisioned heap.
-        uint32_t Count = 1;
-        uint64_t NextWord = 0;
-        while (S + Count < Mini.NumSlots &&
-               isVirginSlot(Image, ImageLocation{M, S + Count}, NextWord) &&
-               NextWord == Word)
-          ++Count;
-        Writer.writeU8(VirginRunTag);
-        Writer.writeVarU64(Count);
-        Writer.writeU64(Word);
-        S += Count;
-        continue;
-      }
-
-      const uint8_t Flags = Image.slotFlags(Loc);
-      const bool HasMeta =
-          Image.objectId(Loc) != 0 || Image.freeTime(Loc) != 0 ||
-          Image.allocSite(Loc) != 0 || Image.freeSite(Loc) != 0 ||
-          Image.requestedSize(Loc) != 0;
-      Writer.writeU8(Flags | (HasMeta ? HasMetaBit : 0));
-      if (HasMeta) {
-        Writer.writeVarU64(Image.objectId(Loc));
-        Writer.writeVarU64(Image.freeTime(Loc));
-        Writer.writeVarU64(Sites.indexOf(Image.allocSite(Loc)));
-        Writer.writeVarU64(Sites.indexOf(Image.freeSite(Loc)));
-        Writer.writeVarU64(Image.requestedSize(Loc));
-      }
-      writeSlotContents(Writer, Image, Image.contents(Loc));
-      ++S;
-    }
+      Writer.writeBytes(Columns.Pool + Run.PoolOffset, Run.Length);
   }
 }
 
 bool imagedetail::readSlotContents(StreamReader &Reader, HeapImage &Image,
                                    uint64_t ObjectSize,
+                                   std::optional<uint64_t> CanaryWord,
                                    std::vector<uint8_t> &Scratch) {
   const uint64_t RunCount = Reader.readVarU64();
   if (Reader.failed() || RunCount > ObjectSize / 8 + 1)
@@ -164,12 +201,15 @@ bool imagedetail::readSlotContents(StreamReader &Reader, HeapImage &Image,
     // varint and slip past the bound into a huge allocation.
     if (Reader.failed() || Length == 0 || Length > ObjectSize - Total)
       return false;
-    if (Kind == ContentsRun::Pattern) {
+    if (Kind == ContentsRun::Pattern || (Kind == CanaryRunKind && CanaryWord)) {
       if (Length % 8 != 0)
         return false;
-      const uint64_t Word = Reader.readU64();
-      if (Reader.failed())
-        return false;
+      uint64_t Word = CanaryWord.value_or(0);
+      if (Kind == ContentsRun::Pattern) {
+        Word = Reader.readU64();
+        if (Reader.failed())
+          return false;
+      }
       Image.addPatternRun(Word, static_cast<uint32_t>(Length));
     } else if (Kind == ContentsRun::Literal) {
       Scratch.resize(Length);
@@ -184,6 +224,24 @@ bool imagedetail::readSlotContents(StreamReader &Reader, HeapImage &Image,
   return Total == ObjectSize;
 }
 
+void imagedetail::writeImageBody(StreamWriter &Writer, const HeapImage &Image,
+                                 const SiteDictionary &Sites) {
+  const SlotColumns Columns(Image);
+  Writer.writeVarU64(Image.miniheapCount());
+  for (const ImageMiniheapInfo &Mini : Image.miniheaps()) {
+    writeMiniheapHeader(Writer, Mini);
+    const uint64_t End = Mini.FirstSlot + Mini.NumSlots;
+    for (uint64_t G = Mini.FirstSlot; G < End; ++G) {
+      if (const uint64_t Count = writeVirginRun(Writer, Columns, G, End)) {
+        G += Count - 1;
+        continue;
+      }
+      writePlainRecordHeader(Writer, Columns, G, Sites);
+      writeSlotContents(Writer, Columns, G, std::nullopt);
+    }
+  }
+}
+
 bool imagedetail::readImageBody(StreamReader &Reader, HeapImage &Image,
                                 const std::vector<SiteId> &SiteTable,
                                 uint64_t &SlotBudget) {
@@ -193,58 +251,24 @@ bool imagedetail::readImageBody(StreamReader &Reader, HeapImage &Image,
 
   std::vector<uint8_t> Scratch;
   for (uint64_t M = 0; M < NumMiniheaps; ++M) {
-    const uint64_t SizeClassIndex = Reader.readVarU64();
-    const uint64_t ObjectSize = Reader.readVarU64();
-    const uint64_t BaseAddress = Reader.readU64();
-    const uint64_t CreationTime = Reader.readVarU64();
-    const uint64_t NumSlots = Reader.readVarU64();
-    if (Reader.failed() || NumSlots > MaxSlotsPerMiniheap ||
-        NumSlots > SlotBudget || ObjectSize == 0 ||
-        ObjectSize > MaxObjectSizeBound || ObjectSize % 8 != 0)
+    uint64_t ObjectSize = 0, NumSlots = 0;
+    if (!readMiniheapHeader(Reader, Image, SlotBudget, ObjectSize, NumSlots))
       return false;
-    SlotBudget -= NumSlots;
-    Image.beginMiniheap(static_cast<uint32_t>(SizeClassIndex), ObjectSize,
-                        BaseAddress, CreationTime);
-    Image.reserveSlots(std::min(NumSlots, ReserveCap));
-
-    for (uint64_t S = 0; S < NumSlots;) {
+    for (uint64_t S = 0; S < NumSlots; ++S) {
       const uint8_t Tag = Reader.readU8();
       if (Reader.failed())
         return false;
       if (Tag == VirginRunTag) {
-        const uint64_t Count = Reader.readVarU64();
-        const uint64_t Word = Reader.readU64();
-        // Non-wrapping form (see readSlotContents).
-        if (Reader.failed() || Count == 0 || Count > NumSlots - S)
+        const uint64_t Count =
+            readVirginRun(Reader, Image, ObjectSize, NumSlots - S);
+        if (Count == 0)
           return false;
-        for (uint64_t I = 0; I < Count; ++I) {
-          Image.addSlot(0, 0, 0, 0, 0, 0);
-          Image.addPatternRun(Word, static_cast<uint32_t>(ObjectSize));
-        }
-        S += Count;
+        S += Count - 1;
         continue;
       }
-      if (Tag & ~(FlagsMask | HasMetaBit))
+      if (!readPlainRecordHeader(Reader, Image, Tag, SiteTable) ||
+          !readSlotContents(Reader, Image, ObjectSize, std::nullopt, Scratch))
         return false;
-      uint64_t ObjectId = 0, FreeTime = 0, RequestedSize = 0;
-      SiteId AllocSite = 0, FreeSite = 0;
-      if (Tag & HasMetaBit) {
-        ObjectId = Reader.readVarU64();
-        FreeTime = Reader.readVarU64();
-        const uint64_t AllocIndex = Reader.readVarU64();
-        const uint64_t FreeIndex = Reader.readVarU64();
-        RequestedSize = Reader.readVarU64();
-        if (Reader.failed() || AllocIndex >= SiteTable.size() ||
-            FreeIndex >= SiteTable.size() || RequestedSize > ~uint32_t(0))
-          return false;
-        AllocSite = SiteTable[AllocIndex];
-        FreeSite = SiteTable[FreeIndex];
-      }
-      Image.addSlot(Tag & FlagsMask, ObjectId, FreeTime, AllocSite,
-                    FreeSite, static_cast<uint32_t>(RequestedSize));
-      if (!readSlotContents(Reader, Image, ObjectSize, Scratch))
-        return false;
-      ++S;
     }
   }
   return !Reader.failed();
@@ -400,7 +424,7 @@ bool exterminator::deserializeHeapImage(ByteSource &Source,
   const uint32_t Magic = Reader.readU32();
   if (Reader.failed())
     return false;
-  ImageOut = HeapImage();
+  ImageOut.clear();
   if (Magic == ImageMagicV2)
     return deserializeV2(Reader, ImageOut);
   if (Magic == ImageMagicV1)

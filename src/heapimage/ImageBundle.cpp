@@ -36,16 +36,17 @@ bool exterminator::serializeImageBundle(const std::vector<HeapImage> &Images,
 
   // v2: every body uses the delta codec — the first image with a null
   // base (canary-run encoding only), members referencing the first
-  // image's slots by object id (codec/DeltaCodec.h).
+  // image's slots by object id (codec/DeltaCodec.h).  The base view is
+  // built only when a member follows.
   std::unique_ptr<HeapImageView> Base;
-  for (const HeapImage &Image : Images) {
-    writeImageHeader(Writer, Image);
+  for (size_t I = 0; I < Images.size(); ++I) {
+    writeImageHeader(Writer, Images[I]);
     if (FormatVersion == ImageBundleFormatV1) {
-      writeImageBody(Writer, Image, Sites);
+      writeImageBody(Writer, Images[I], Sites);
       continue;
     }
-    writeDeltaImageBody(Writer, Image, Sites, Base.get());
-    if (!Base)
+    writeDeltaImageBody(Writer, Images[I], Sites, Base.get());
+    if (!Base && I + 1 < Images.size())
       Base = std::make_unique<HeapImageView>(Images.front());
   }
   return !Writer.failed();
@@ -77,11 +78,16 @@ static bool deserializeBundleBody(StreamReader &Reader,
   if (!readSiteTable(Reader, SiteTable))
     return false;
 
-  ImagesOut.clear();
-  ImagesOut.reserve(NumImages);
+  // Decode in place: images already in ImagesOut keep their columns'
+  // capacity (clear() below), so a caller that reuses one evidence
+  // vector across bundles stops allocating and page-faulting fresh
+  // columns per decode.  Sized once, up front: the base view references
+  // ImagesOut.front(), so the vector must not reallocate after image 0.
+  ImagesOut.resize(NumImages);
   std::unique_ptr<HeapImageView> Base;
   for (uint64_t I = 0; I < NumImages; ++I) {
-    HeapImage Image;
+    HeapImage &Image = ImagesOut[I];
+    Image.clear();
     readImageHeader(Reader, Image);
     Image.SourceFormatVersion = HeapImageFormatV2;
     if (Reader.failed())
@@ -98,8 +104,7 @@ static bool deserializeBundleBody(StreamReader &Reader,
                                    SlotBudget)) {
       return false;
     }
-    ImagesOut.push_back(std::move(Image));
-    if (FormatVersion == ImageBundleFormatV2 && !Base)
+    if (FormatVersion == ImageBundleFormatV2 && !Base && I + 1 < NumImages)
       Base = std::make_unique<HeapImageView>(ImagesOut.front());
   }
   return !Reader.failed();

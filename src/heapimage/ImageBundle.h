@@ -92,7 +92,10 @@ serializeImageBundle(const std::vector<HeapImage> &Images,
 /// is decremented by the slots actually declared, so one budget can
 /// span several bundles (the server shares one across a submission's
 /// primary + fallback pair).  Does not check for trailing bytes —
-/// callers owning the stream decide what follows.
+/// callers owning the stream decide what follows.  Decodes in place:
+/// images already in \p ImagesOut are cleared and refilled, keeping
+/// their columns' capacity, so a caller decoding a stream of bundles
+/// into one vector stops allocating fresh columns.
 bool deserializeImageBundle(ByteSource &Source,
                             std::vector<HeapImage> &ImagesOut,
                             uint64_t &SlotBudget);

@@ -253,22 +253,16 @@ void StreamWriter::writeF64(double Value) {
   writeU64(Bits);
 }
 
-void StreamWriter::writeVarU64(uint64_t Value) {
+void StreamWriter::writeLongVarU64(uint64_t Value) {
   uint8_t Encoded[10];
   writeBytes(Encoded, encodeVarU64(Value, Encoded));
 }
 
-void StreamWriter::writeBytes(const void *Data, size_t Size) {
+void StreamWriter::writeToSink(const void *Data, size_t Size) {
   if (Failed)
     return;
   if (!Sink.write(Data, Size))
     Failed = true;
-}
-
-uint8_t StreamReader::readU8() {
-  uint8_t Value = 0;
-  readBytes(&Value, 1);
-  return Value;
 }
 
 uint32_t StreamReader::readU32() {
@@ -296,20 +290,38 @@ double StreamReader::readF64() {
   return Value;
 }
 
-uint64_t StreamReader::readVarU64() {
+uint64_t StreamReader::readLongVarU64() {
   bool Malformed = false;
-  const uint64_t Value = decodeVarU64(
-      [&]() -> int {
-        const uint8_t Byte = readU8();
-        return Failed ? -1 : Byte;
-      },
-      Malformed);
+  uint64_t Value;
+  if (Memory && !Failed) {
+    // Decode straight from the range.  Running dry fails exactly as the
+    // generic path's one-byte reads do: nothing consumed, sticky flag.
+    const uint8_t *Data = Memory->Data;
+    const size_t Size = Memory->Size;
+    size_t &Offset = Memory->Offset;
+    Value = decodeVarU64(
+        [&]() -> int {
+          if (Offset == Size) {
+            Failed = true;
+            return -1;
+          }
+          return Data[Offset++];
+        },
+        Malformed);
+  } else {
+    Value = decodeVarU64(
+        [&]() -> int {
+          const uint8_t Byte = readU8();
+          return Failed ? -1 : Byte;
+        },
+        Malformed);
+  }
   if (Malformed)
     Failed = true;
   return Value;
 }
 
-bool StreamReader::readBytes(void *Out, size_t Count) {
+bool StreamReader::readFromSource(void *Out, size_t Count) {
   if (Failed || Source.read(Out, Count) != Count) {
     Failed = true;
     std::memset(Out, 0, Count);

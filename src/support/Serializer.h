@@ -21,6 +21,21 @@
 ///    intermediate buffer.  Both layers share the LEB128 varint encoding
 ///    the columnar image format leans on.
 ///
+/// Cost model of the streaming layer.  Image and bundle coding issue one
+/// field call per slot attribute (~20k slots per image), so the cost per
+/// field, not the byte count, sets the codec's speed.  Over the two
+/// contiguous endpoints — a VectorSink being written, a MemorySource
+/// being read, which is every wire frame and in-memory bundle —
+/// StreamWriter/StreamReader bypass the virtual write()/read() and work
+/// on the vector or memory range inline: a field costs a bounds check and
+/// a copy, and a varint decodes from the pointer instead of one virtual
+/// read per byte.  That path does no buffering: bytes land in the vector
+/// in write order as each field is written, and a MemorySource's
+/// remaining() is exact after every field.  Failing reads take the
+/// generic path, so failure is sticky with zeroed output exactly as over
+/// any other stream.  File and codec streams keep the virtual calls
+/// (their own buffering amortizes them).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EXTERMINATOR_SUPPORT_SERIALIZER_H
@@ -29,6 +44,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -94,12 +110,22 @@ public:
   virtual ~ByteSink();
   /// Returns false on write failure (sticky in StreamWriter).
   virtual bool write(const void *Data, size_t Size) = 0;
+
+protected:
+  /// Set by a sink that only ever appends to one in-memory vector
+  /// (VectorSink): StreamWriter then appends to it inline.
+  std::vector<uint8_t> *AppendTarget = nullptr;
+
+private:
+  friend class StreamWriter;
 };
 
 /// Appends to a caller-owned byte vector.
 class VectorSink : public ByteSink {
 public:
-  explicit VectorSink(std::vector<uint8_t> &Out) : Out(Out) {}
+  explicit VectorSink(std::vector<uint8_t> &Out) : Out(Out) {
+    AppendTarget = &Out;
+  }
   bool write(const void *Data, size_t Size) override;
 
 private:
@@ -122,6 +148,8 @@ private:
   bool WriteFailed = false;
 };
 
+class MemorySource;
+
 /// Abstract byte origin for streaming deserialization.
 class ByteSource {
 public:
@@ -129,19 +157,34 @@ public:
   /// Reads up to \p Size bytes; returns the count actually read (short
   /// reads only at end of stream).
   virtual size_t read(void *Out, size_t Size) = 0;
+
+protected:
+  /// Set by a source over one contiguous memory range (MemorySource):
+  /// StreamReader then reads the range inline.
+  MemorySource *Contiguous = nullptr;
+
+private:
+  friend class StreamReader;
 };
 
 /// Reads from a caller-owned memory range.
 class MemorySource : public ByteSource {
 public:
-  MemorySource(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {}
+  MemorySource(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {
+    Contiguous = this;
+  }
   explicit MemorySource(const std::vector<uint8_t> &Buffer)
-      : Data(Buffer.data()), Size(Buffer.size()) {}
+      : MemorySource(Buffer.data(), Buffer.size()) {}
+  // A copy would point Contiguous at the original.
+  MemorySource(const MemorySource &) = delete;
+  MemorySource &operator=(const MemorySource &) = delete;
   size_t read(void *Out, size_t Size) override;
   /// Bytes not yet consumed (the streaming analogue of ByteReader::atEnd).
   size_t remaining() const { return Size - Offset; }
 
 private:
+  friend class StreamReader;
+
   const uint8_t *Data;
   size_t Size;
   size_t Offset = 0;
@@ -162,41 +205,97 @@ private:
 };
 
 /// Little-endian field encoder over any ByteSink with sticky failure.
+/// Appends inline when the sink is a VectorSink (see the file comment).
 class StreamWriter {
 public:
-  explicit StreamWriter(ByteSink &Sink) : Sink(Sink) {}
+  explicit StreamWriter(ByteSink &Sink)
+      : Sink(Sink), Append(Sink.AppendTarget) {}
 
-  void writeU8(uint8_t Value) { writeBytes(&Value, 1); }
+  void writeU8(uint8_t Value) {
+    if (Append)
+      Append->push_back(Value);
+    else
+      writeToSink(&Value, 1);
+  }
   void writeU32(uint32_t Value);
   void writeU64(uint64_t Value);
   void writeF64(double Value);
-  void writeVarU64(uint64_t Value);
-  void writeBytes(const void *Data, size_t Size);
+  void writeVarU64(uint64_t Value) {
+    if (Value < 0x80)
+      writeU8(static_cast<uint8_t>(Value));
+    else
+      writeLongVarU64(Value);
+  }
+  void writeBytes(const void *Data, size_t Size) {
+    if (Append) {
+      const uint8_t *Bytes = static_cast<const uint8_t *>(Data);
+      Append->insert(Append->end(), Bytes, Bytes + Size);
+    } else {
+      writeToSink(Data, Size);
+    }
+  }
 
   /// True if any write failed.
   bool failed() const { return Failed; }
 
 private:
+  void writeLongVarU64(uint64_t Value);
+  /// The generic path: one virtual write, sticky failure.
+  void writeToSink(const void *Data, size_t Size);
+
   ByteSink &Sink;
+  /// The VectorSink's vector, or null on the generic path.
+  std::vector<uint8_t> *Append;
   bool Failed = false;
 };
 
 /// Little-endian field decoder over any ByteSource with sticky failure.
+/// Reads inline when the source is a MemorySource (see the file comment).
 class StreamReader {
 public:
-  explicit StreamReader(ByteSource &Source) : Source(Source) {}
+  explicit StreamReader(ByteSource &Source)
+      : Source(Source), Memory(Source.Contiguous) {}
 
-  uint8_t readU8();
+  uint8_t readU8() {
+    if (Memory && !Failed && Memory->Offset < Memory->Size)
+      return Memory->Data[Memory->Offset++];
+    uint8_t Value = 0;
+    readFromSource(&Value, 1);
+    return Value;
+  }
   uint32_t readU32();
   uint64_t readU64();
   double readF64();
-  uint64_t readVarU64();
-  bool readBytes(void *Out, size_t Count);
+  uint64_t readVarU64() {
+    if (Memory && !Failed && Memory->Offset < Memory->Size &&
+        Memory->Data[Memory->Offset] < 0x80)
+      return Memory->Data[Memory->Offset++];
+    return readLongVarU64();
+  }
+  bool readBytes(void *Out, size_t Count) {
+    if (Memory && !Failed && Count <= Memory->Size - Memory->Offset) {
+      // An empty range may have a null Data; memcpy from null is
+      // undefined even for zero bytes.
+      if (Count)
+        std::memcpy(Out, Memory->Data + Memory->Offset, Count);
+      Memory->Offset += Count;
+      return true;
+    }
+    return readFromSource(Out, Count);
+  }
 
   bool failed() const { return Failed; }
 
 private:
+  /// Multi-byte varints, and every varint off the inline path.
+  uint64_t readLongVarU64();
+  /// The generic path (and every failing read): one virtual read,
+  /// sticky failure with zeroed output.
+  bool readFromSource(void *Out, size_t Count);
+
   ByteSource &Source;
+  /// The MemorySource, or null on the generic path.
+  MemorySource *Memory;
   bool Failed = false;
 };
 

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <thread>
 
@@ -759,6 +760,124 @@ TEST(Serializer, StreamReaderReadsMemorySource) {
   EXPECT_EQ(Source.remaining(), 0u);
   Reader.readU8();
   EXPECT_TRUE(Reader.failed()); // sticky past-end failure
+}
+
+namespace {
+
+/// A MemorySource reachable only through the virtual read(): the
+/// generic ByteSource path StreamReader takes for files and codecs.
+class GenericMemorySource : public ByteSource {
+public:
+  explicit GenericMemorySource(const std::vector<uint8_t> &Bytes)
+      : Inner(Bytes) {}
+  size_t read(void *Out, size_t Size) override {
+    return Inner.read(Out, Size);
+  }
+  size_t remaining() const { return Inner.remaining(); }
+
+private:
+  MemorySource Inner;
+};
+
+/// A VectorSink reachable only through the virtual write().
+class GenericVectorSink : public ByteSink {
+public:
+  explicit GenericVectorSink(std::vector<uint8_t> &Out) : Inner(Out) {}
+  bool write(const void *Data, size_t Size) override {
+    return Inner.write(Data, Size);
+  }
+
+private:
+  VectorSink Inner;
+};
+
+/// One of every streaming field, varints of 1 to 10 bytes included.
+void writeFieldMix(StreamWriter &Writer) {
+  const uint8_t Blob[5] = {1, 2, 3, 4, 5};
+  Writer.writeU8(0xab);
+  Writer.writeVarU64(0x7f);
+  Writer.writeU32(0xdeadbeef);
+  Writer.writeVarU64(300);
+  Writer.writeU64(0x0123456789abcdefull);
+  Writer.writeF64(2.5);
+  Writer.writeVarU64(~uint64_t(0));
+  Writer.writeBytes(Blob, sizeof(Blob));
+  Writer.writeVarU64(uint64_t(1) << 35);
+  Writer.writeBytes(Blob, 0);
+}
+
+} // namespace
+
+TEST(Serializer, VectorSinkFastPathWritesLikeGenericSink) {
+  std::vector<uint8_t> Fast, Generic;
+  VectorSink FastSink(Fast);
+  GenericVectorSink GenericSink(Generic);
+  StreamWriter FastWriter(FastSink), GenericWriter(GenericSink);
+  writeFieldMix(FastWriter);
+  writeFieldMix(GenericWriter);
+  EXPECT_EQ(Fast, Generic);
+  EXPECT_FALSE(FastWriter.failed());
+}
+
+TEST(Serializer, MemorySourceFastPathFailsLikeGenericSource) {
+  // Every prefix of a field mix, read field by field through the inline
+  // MemorySource path and through the virtual read(): same values, same
+  // sticky flag, same zeroed output, same remaining() after every field.
+  std::vector<uint8_t> Bytes;
+  VectorSink Sink(Bytes);
+  StreamWriter Writer(Sink);
+  writeFieldMix(Writer);
+  // Overlong varints: eleven continuation bytes, and a tenth byte with
+  // bits past bit 63.
+  for (int I = 0; I < 10; ++I)
+    Writer.writeU8(0x80);
+  Writer.writeU8(0x01);
+  for (int I = 0; I < 9; ++I)
+    Writer.writeU8(0xff);
+  Writer.writeU8(0x02);
+
+  for (size_t Cut = 0; Cut <= Bytes.size(); ++Cut) {
+    const std::vector<uint8_t> Prefix(Bytes.begin(), Bytes.begin() + Cut);
+    MemorySource FastSource(Prefix);
+    GenericMemorySource GenericSource(Prefix);
+    StreamReader Fast(FastSource), Generic(GenericSource);
+    auto Same = [&](const char *Field) {
+      EXPECT_EQ(Fast.failed(), Generic.failed()) << Field << " cut " << Cut;
+      EXPECT_EQ(FastSource.remaining(), GenericSource.remaining())
+          << Field << " cut " << Cut;
+    };
+    EXPECT_EQ(Fast.readU8(), Generic.readU8());
+    Same("u8");
+    EXPECT_EQ(Fast.readVarU64(), Generic.readVarU64());
+    Same("varint1");
+    EXPECT_EQ(Fast.readU32(), Generic.readU32());
+    Same("u32");
+    EXPECT_EQ(Fast.readVarU64(), Generic.readVarU64());
+    Same("varint2");
+    EXPECT_EQ(Fast.readU64(), Generic.readU64());
+    Same("u64");
+    EXPECT_EQ(Fast.readF64(), Generic.readF64());
+    Same("f64");
+    EXPECT_EQ(Fast.readVarU64(), Generic.readVarU64());
+    Same("varint10");
+    uint8_t FastBlob[5], GenericBlob[5];
+    std::memset(FastBlob, 0x5a, sizeof(FastBlob));
+    std::memset(GenericBlob, 0x5a, sizeof(GenericBlob));
+    EXPECT_EQ(Fast.readBytes(FastBlob, 5), Generic.readBytes(GenericBlob, 5));
+    EXPECT_EQ(0, std::memcmp(FastBlob, GenericBlob, 5)) << "cut " << Cut;
+    Same("bytes");
+    EXPECT_EQ(Fast.readVarU64(), Generic.readVarU64());
+    Same("varint6");
+    EXPECT_EQ(Fast.readBytes(FastBlob, 0), Generic.readBytes(GenericBlob, 0));
+    Same("empty bytes");
+    EXPECT_EQ(Fast.readVarU64(), Generic.readVarU64());
+    Same("overlong");
+    EXPECT_TRUE(Fast.failed());
+    EXPECT_EQ(Fast.readVarU64(), Generic.readVarU64());
+    Same("past bit 63");
+    EXPECT_EQ(Fast.readU8(), 0u); // sticky
+    Same("after failure");
+  }
 }
 
 TEST(Serializer, EmptyMemorySourceReadsNothing) {
