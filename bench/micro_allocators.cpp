@@ -314,7 +314,7 @@ struct MtMeasurement {
   double NsPerOp = 0;
   double OpsPerSec = 0;
   /// Backend lock acquisitions per operation during the measured run:
-  /// ~2/MagazineSize for the cached mode, exactly 1 for global-lock.
+  /// ~1/(2 MagazineSize) for the cached mode, exactly 1 for global-lock.
   double LockAcquiresPerOp = 0;
   /// Header-stamp mismatches (must be 0: the bench doubles as a
   /// memory-integrity check).

@@ -4,10 +4,8 @@
 
 #include "alloc/SizeClass.h"
 #include "diefast/CanaryOps.h"
-#include "support/MpscQueue.h"
 
 #include <cassert>
-#include <new>
 #include <unordered_map>
 
 using namespace exterminator;
@@ -15,15 +13,17 @@ using namespace exterminator;
 //===----------------------------------------------------------------------===//
 // Thread-exit plumbing
 //
-// Each thread's first allocation against an allocator registers the
-// (allocator, cache) pair in a thread_local registry whose destructor
-// flushes the cache back — but only if the allocator is still alive,
-// which a global registry of live instances (keyed by address *and*
-// instance id, so a recycled address cannot impersonate a dead
-// allocator) decides under its own lock.  Lock order here is
-// LiveRegistry -> BackendLock; the allocator destructor takes the
-// registry lock alone (to deregister) and the backend lock alone (to
-// flush), never nested, so no cycle exists.
+// Each thread's first allocation or free against an allocator registers
+// the (allocator, cache) pair in a thread_local registry whose destructor
+// flushes the cache back — applying its buffered frees — but only if the
+// allocator is still alive, which a global registry of live instances
+// (keyed by address *and* instance id, so a recycled address cannot
+// impersonate a dead allocator) decides under its own lock.  Entries of
+// dead allocators are pruned whenever a new one registers, so a
+// long-lived thread's per-call lookup scans only what it may still use.
+// Lock order here is LiveRegistry -> BackendLock; the allocator
+// destructor takes the registry lock alone (to deregister) and the
+// backend lock alone (to flush), never nested, so no cycle exists.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -48,21 +48,62 @@ struct TlsEntry {
   ConcurrentAllocator::ThreadCache *Cache;
 };
 
+/// True while \p E's allocator is alive (liveRegistryLock held).
+bool isLive(const TlsEntry &E) {
+  auto It = liveRegistry().find(E.Owner);
+  return It != liveRegistry().end() && It->second == E.Instance;
+}
+
+/// Set once this thread's registry is destroyed: a free arriving later
+/// (another thread_local's destructor, say) has no cache to buffer in.
+/// Trivially destructible, so it stays readable to the very end.
+thread_local bool TlsTornDown = false;
+
 struct TlsRegistry {
   std::vector<TlsEntry> Entries;
 
   ~TlsRegistry() {
     for (const TlsEntry &E : Entries) {
       std::lock_guard<std::mutex> Lock(liveRegistryLock());
-      auto It = liveRegistry().find(E.Owner);
-      if (It == liveRegistry().end() || It->second != E.Instance)
+      if (!isLive(E))
         continue; // The allocator died first; it flushed everything.
       E.Owner->flushCache(*E.Cache);
     }
+    TlsTornDown = true;
   }
 };
 
 thread_local TlsRegistry Tls;
+
+/// Spin bound of lockBackend.  A refill or free batch holds the backend
+/// lock for a few microseconds, about what a futex park and wake-up
+/// costs the waiter, so a waiter first retries this many times (1 to
+/// 10 µs of pause instructions, depending on the core) before it blocks.
+constexpr unsigned LockSpinLimit = 200;
+
+/// The CPU's spin-wait hint: frees the sibling hyperthread and keeps the
+/// retry loop from flooding the lock's line.
+inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__) || defined(__arm__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// Adds \p N to a counter only lock holders write: a plain load and
+/// store, no locked read-modify-write.
+inline void bump(std::atomic<uint64_t> &Counter, uint64_t N = 1) {
+  Counter.store(Counter.load(std::memory_order_relaxed) + N,
+                std::memory_order_relaxed);
+}
+
+/// Buffered frees that trigger an apply under the lock: a thread that
+/// frees more than it allocates (a consumer) still returns its slots to
+/// the lottery every few refills' worth of operations.
+size_t freeBound(const ConcurrentAllocatorConfig &Cfg) {
+  return 4 * Cfg.MagazineSize;
+}
 
 } // namespace
 
@@ -106,7 +147,8 @@ ConcurrentAllocator::~ConcurrentAllocator() {
 
 ConcurrentAllocator::ThreadCache &ConcurrentAllocator::createCache() {
   std::lock_guard<std::mutex> Lock(CacheLock);
-  AllCaches.emplace_back(new ThreadCache(sizeclass::numClasses()));
+  AllCaches.emplace_back(
+      new ThreadCache(sizeclass::numClasses(), freeBound(Cfg)));
   return *AllCaches.back();
 }
 
@@ -115,13 +157,30 @@ ConcurrentAllocator::ThreadCache &ConcurrentAllocator::threadCache() {
     if (E.Owner == this && E.Instance == InstanceId)
       return *E.Cache;
   ThreadCache &Fresh = createCache();
+  {
+    std::lock_guard<std::mutex> Lock(liveRegistryLock());
+    std::erase_if(Tls.Entries, [](const TlsEntry &E) { return !isLive(E); });
+  }
   Tls.Entries.push_back(TlsEntry{this, InstanceId, &Fresh});
   return Fresh;
 }
 
+size_t ConcurrentAllocator::threadRegistrySize() { return Tls.Entries.size(); }
+
 std::unique_lock<std::mutex> ConcurrentAllocator::lockBackend() {
-  std::unique_lock<std::mutex> Lock(BackendLock);
-  LockAcquires.fetch_add(1, std::memory_order_relaxed);
+  // The global-lock baseline keeps the plain mutex it stands in for.
+  const unsigned SpinLimit = Cfg.GlobalLockBaseline ? 0 : LockSpinLimit;
+  std::unique_lock<std::mutex> Lock(BackendLock, std::try_to_lock);
+  if (!Lock.owns_lock()) {
+    for (unsigned I = 0; I < SpinLimit && !Lock.try_lock(); ++I)
+      cpuRelax();
+    if (!Lock.owns_lock()) {
+      Lock.lock();
+      bump(Counters.Parked);
+    }
+    bump(Counters.Spun);
+  }
+  bump(Counters.Acquisitions);
   Backend.advanceClockTo(Clock.load(std::memory_order_relaxed));
   return Lock;
 }
@@ -205,12 +264,11 @@ void *ConcurrentAllocator::allocateFrom(ThreadCache &Cache, size_t Size,
 
 void ConcurrentAllocator::refill(ThreadCache &Cache, unsigned ClassIndex) {
   auto Lock = lockBackend();
-  // Drain before drawing: every free queued up to this point re-enters
-  // the uniform lottery before any new slot is picked.  (This ordering
-  // is also what makes MagazineSize == 1 bit-identical to the direct
-  // backend.)
-  if (PendingRemote.load(std::memory_order_acquire) > 0)
-    drainRemoteFrees();
+  // Apply before drawing: every free this thread made up to this point
+  // re-enters the uniform lottery before it picks a new slot.  (This
+  // ordering is also what makes MagazineSize == 1 bit-identical to the
+  // direct backend.)
+  applyFrees(Cache, Counters.FreesAtRefill);
   auto &Magazine = Cache.Magazines[ClassIndex];
   while (Magazine.size() < Cfg.MagazineSize) {
     Miniheap *Mini = nullptr;
@@ -256,7 +314,7 @@ void ConcurrentAllocator::deallocate(void *Ptr) {
     return;
   }
 
-  // Lock-free: resolve through the page directory, claim, push.
+  // Lock-free: resolve through the page directory, claim, stamp.
   const auto Resolved = Backend.resolvePointer(Ptr);
   if (!Resolved || static_cast<uint8_t *>(Ptr) != Resolved->SlotStart) {
     // Outside the heap or mid-object: invalid free, counted and ignored
@@ -274,17 +332,25 @@ void ConcurrentAllocator::deallocate(void *Ptr) {
     return;
   }
 
-  // This claim owns the slot until the owner drains it.  Stamp the free
-  // site now — it belongs to this thread's context — and hand the slot
-  // over as a queue node built in the dead object's first bytes (slots
-  // are >= MinObjectSize == 8 >= sizeof(MpscNode)).  FreeTime is stamped
-  // at drain, from the re-synced clock.
+  // This claim owns the slot until the batch is applied.  Stamp the free
+  // site now — it belongs to this thread's context; FreeTime is stamped
+  // when the free is applied, from the re-synced clock.
   Mini.slot(Slot).FreeSite = Context ? Context->currentSite() : 0;
-  static_assert(sizeof(MpscNode) <= sizeclass::MinObjectSize,
-                "remote-free nodes must fit the smallest slot");
-  auto *Node = new (Ptr) MpscNode;
-  Mini.remoteFreeQueue().push(Node);
-  PendingRemote.fetch_add(1, std::memory_order_release);
+  const CachedSlot Free{Resolved->Ref, &Mini};
+  if (TlsTornDown) {
+    // This thread's registry is gone: no cache outlives it to buffer in.
+    auto Lock = lockBackend();
+    applyFree(Free);
+    bump(Counters.FreesAtFlush);
+    return;
+  }
+  ThreadCache &Cache = threadCache();
+  Cache.Frees.push_back(Free);
+  Cache.BufferedFrees.store(Cache.Frees.size(), std::memory_order_relaxed);
+  if (Cache.Frees.size() >= freeBound(Cfg)) {
+    auto Lock = lockBackend();
+    applyFrees(Cache, Counters.FreesAtBound);
+  }
 }
 
 void ConcurrentAllocator::baselineDeallocate(void *Ptr) {
@@ -303,45 +369,35 @@ void ConcurrentAllocator::baselineDeallocate(void *Ptr) {
                                   Cfg.CanaryFillProbability, Ref.SlotIndex);
 }
 
-uint64_t ConcurrentAllocator::drainRemoteFrees() {
-  uint64_t Drained = 0;
-  Backend.forEachMiniheap([&](unsigned C, unsigned H, Miniheap &Mini) {
-    MpscNode *Node = Mini.remoteFreeQueue().drainAll();
-    if (!Node)
-      return;
-    // Collect every slot index before processing any: the nodes live in
-    // the freed objects themselves, and a canary fill of one slot must
-    // not clobber a link we have yet to follow.
-    DrainScratch.clear();
-    for (; Node; Node = Node->Next) {
-      std::optional<size_t> Slot = Mini.slotContaining(Node);
-      assert(Slot && "queued node must lie in its own miniheap");
-      DrainScratch.push_back(*Slot);
-    }
-    for (const size_t Slot : DrainScratch) {
-      const ObjectRef Ref{C, H, Slot};
-      // The free site was stamped by the freeing thread; deallocateIn
-      // would otherwise sample the draining thread's context.
-      const SiteId Site = Mini.slot(Slot).FreeSite;
-      [[maybe_unused]] const bool Freed = Backend.deallocateResolved(Ref, Site);
-      assert(Freed && "pending-free claim is exclusive; drain cannot "
-                      "double-free");
-      if (Cfg.DieFastCanaries) {
-        canary_ops::sweepFreedNeighbors(
-            Mini, HeapCanary, Ref, [&](const ObjectRef &Corrupt) {
-              Backend.quarantine(Corrupt);
-              signalError(ErrorSignalKind::CanaryCorruptOnFree, Corrupt);
-            });
-        canary_ops::canaryFillFreedSlot(Mini, HeapCanary, CanaryRng,
-                                        Cfg.CanaryFillProbability, Slot);
-      }
-      ++Drained;
-    }
-  });
-  if (Drained)
-    PendingRemote.fetch_sub(static_cast<int64_t>(Drained),
-                            std::memory_order_relaxed);
-  return Drained;
+void ConcurrentAllocator::applyFree(const CachedSlot &Free) {
+  const ObjectRef &Ref = Free.Ref;
+  Miniheap &Mini = *Free.Heap;
+  // The free site was stamped by the freeing thread; deallocateResolved
+  // would otherwise sample the context at apply time.
+  [[maybe_unused]] const bool Freed =
+      Backend.deallocateResolved(Ref, Mini.slot(Ref.SlotIndex).FreeSite);
+  assert(Freed && "pending-free claim is exclusive; a buffered free "
+                  "cannot double-free");
+  if (!Cfg.DieFastCanaries)
+    return;
+  canary_ops::sweepFreedNeighbors(
+      Mini, HeapCanary, Ref, [&](const ObjectRef &Corrupt) {
+        Backend.quarantine(Corrupt);
+        signalError(ErrorSignalKind::CanaryCorruptOnFree, Corrupt);
+      });
+  canary_ops::canaryFillFreedSlot(Mini, HeapCanary, CanaryRng,
+                                  Cfg.CanaryFillProbability, Ref.SlotIndex);
+}
+
+void ConcurrentAllocator::applyFrees(ThreadCache &Cache,
+                                     std::atomic<uint64_t> &AppliedAt) {
+  if (Cache.Frees.empty())
+    return;
+  for (const CachedSlot &Free : Cache.Frees)
+    applyFree(Free);
+  bump(AppliedAt, Cache.Frees.size());
+  Cache.Frees.clear();
+  Cache.BufferedFrees.store(0, std::memory_order_relaxed);
 }
 
 //===----------------------------------------------------------------------===//
@@ -349,6 +405,7 @@ uint64_t ConcurrentAllocator::drainRemoteFrees() {
 //===----------------------------------------------------------------------===//
 
 void ConcurrentAllocator::flushCacheLocked(ThreadCache &Cache) {
+  applyFrees(Cache, Counters.FreesAtFlush);
   for (auto &Magazine : Cache.Magazines) {
     for (const ThreadCache::CachedSlot &Slot : Magazine)
       Backend.releaseReserved(Slot.Ref);
@@ -358,16 +415,36 @@ void ConcurrentAllocator::flushCacheLocked(ThreadCache &Cache) {
 
 void ConcurrentAllocator::flushCache(ThreadCache &Cache) {
   auto Lock = lockBackend();
-  drainRemoteFrees();
   flushCacheLocked(Cache);
 }
 
 void ConcurrentAllocator::flushAll() {
   std::lock_guard<std::mutex> Caches(CacheLock);
   auto Lock = lockBackend();
-  drainRemoteFrees();
   for (auto &Cache : AllCaches)
     flushCacheLocked(*Cache);
+}
+
+ConcurrentAllocator::LockStats ConcurrentAllocator::lockStats() const {
+  const auto Read = [](const std::atomic<uint64_t> &C) {
+    return C.load(std::memory_order_relaxed);
+  };
+  LockStats S;
+  S.Acquisitions = Read(Counters.Acquisitions);
+  S.Spun = Read(Counters.Spun);
+  S.Parked = Read(Counters.Parked);
+  S.FreesAtRefill = Read(Counters.FreesAtRefill);
+  S.FreesAtBound = Read(Counters.FreesAtBound);
+  S.FreesAtFlush = Read(Counters.FreesAtFlush);
+  return S;
+}
+
+uint64_t ConcurrentAllocator::pendingRemoteFrees() const {
+  std::lock_guard<std::mutex> Caches(CacheLock);
+  uint64_t N = 0;
+  for (const auto &Cache : AllCaches)
+    N += Cache->BufferedFrees.load(std::memory_order_relaxed);
+  return N;
 }
 
 const AllocatorStats &ConcurrentAllocator::stats() const {

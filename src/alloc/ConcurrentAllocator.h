@@ -21,21 +21,29 @@
 ///    the DieFast canary check/zero-fill runs per slot at hand-out, just
 ///    as in the single-threaded heap.
 ///
-///  * **Deallocation** never takes the lock: the pointer resolves
-///    through the lock-free page directory, an atomic *pending-free* bit
-///    claims the slot (making concurrent double frees detectable without
-///    the lock), and one lock-free push queues the slot on its own
-///    miniheap's MPSC remote-free queue — the node lives in the dead
-///    object's first bytes, so the free path allocates nothing.  Owners
-///    drain all queues at the start of every refill/flush, before new
-///    slots are drawn, so a freed slot re-enters the uniform lottery at
-///    the next draw.
+///  * **Deallocation** is lock-free up to a per-thread batch: the pointer
+///    resolves through the lock-free page directory, an atomic
+///    *pending-free* bit claims the slot (making concurrent double frees
+///    detectable without the lock), the freeing thread stamps its free
+///    site, and the slot is appended to the freeing thread's own cache.
+///    That thread applies its batch under the backend lock at its next
+///    refill (before it draws), its flush, its exit, or once the batch
+///    holds 4 × MagazineSize frees — so a freed slot re-enters the
+///    uniform lottery at one of those points, and never goes into a
+///    magazine.  Each thread touches only its own frees under the lock;
+///    no refill walks the heap looking for other threads' work.
 ///
 ///  * **Pointer lookup** is lock-free end to end: the page directory
 ///    republishes epoch-style on growth (support/PageTable.h), and slab
 ///    records are fully written before their directory ids publish.
 ///    This requires page-sized guard regions (no ambiguous pages), which
 ///    the constructor asserts.
+///
+///  * **The backend lock** is held only for a refill's draws, one
+///    thread's free batch, or a flush.  Those sections are short, so a
+///    thread that finds it taken spins through a bounded number of
+///    try_locks with a CPU-relax hint before it parks in the kernel
+///    (the global-lock baseline below parks at once, as a plain mutex).
 ///
 /// A `GlobalLockBaseline` mode routes every operation through one mutex
 /// around the backend — the pre-PR-7 "just lock it" design — so
@@ -45,8 +53,10 @@
 /// Object ids come from a front-end atomic clock; the backend clock is
 /// re-synchronized to it whenever the lock is taken, so FreeTime stamps
 /// and miniheap creation times stay on one timeline.  With MagazineSize
-/// == 1 and a single thread, the allocator is bit-identical to driving
-/// the backend directly (tests pin this).
+/// == 1 and a single thread allocating and freeing through the same
+/// cache, the allocator is bit-identical to driving the backend directly
+/// (tests pin this): every buffered free is applied, in order, before the
+/// next draw.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,15 +88,15 @@ struct ConcurrentAllocatorConfig {
   size_t MagazineSize = 32;
   /// Apply DieFast semantics (§3.3) to every slot: canary verify/
   /// quarantine at hand-out, neighbor sweeps and probabilistic canary
-  /// fill at drain.  Off = plain DieHard semantics.
+  /// fill when a free is applied.  Off = plain DieHard semantics.
   bool DieFastCanaries = false;
   /// Probability p of canary-filling a freed slot (canary mode only).
   double CanaryFillProbability = 1.0;
   /// Zero-fill allocations (§2.1; canary mode only, mirroring
   /// DieFastConfig).
   bool ZeroFillAllocations = true;
-  /// Bench baseline: one mutex around the backend for every operation,
-  /// no caches, no remote-free queues.  Never enable in production.
+  /// Bench baseline: the backend lock around every operation, no caches,
+  /// no free batches.  Never enable in production.
   bool GlobalLockBaseline = false;
 };
 
@@ -98,10 +108,13 @@ struct ConcurrentAllocatorConfig {
 /// may be invoked concurrently from multiple threads.
 class ConcurrentAllocator : public Allocator {
 public:
-  /// One thread's private magazines.  Obtained implicitly per thread via
-  /// allocate(), or explicitly via createCache()/allocateFrom() —
-  /// the deterministic route tests and single-threaded drivers use.
-  class ThreadCache {
+  /// One thread's private magazines and free batch.  Obtained
+  /// implicitly per thread via allocate()/deallocate(), or explicitly via
+  /// createCache()/allocateFrom() — the deterministic route tests and
+  /// single-threaded drivers use.  Line-aligned: the owner writes its
+  /// counters on every operation, so two threads' caches must not share
+  /// a line.
+  class alignas(CacheLineBytes) ThreadCache {
     friend class ConcurrentAllocator;
 
     struct CachedSlot {
@@ -109,14 +122,38 @@ public:
       Miniheap *Heap;
     };
 
-    explicit ThreadCache(size_t NumClasses) : Magazines(NumClasses) {}
+    ThreadCache(size_t NumClasses, size_t FreeBound) : Magazines(NumClasses) {
+      Frees.reserve(FreeBound);
+    }
 
     /// Pre-drawn slots per size class, consumed back-to-front.
     std::vector<std::vector<CachedSlot>> Magazines;
-    /// Front-end counters; atomic because stats() aggregates them while
-    /// the owning thread runs.
+    /// Slots this thread freed (claimed, free site stamped) that are not
+    /// yet back in the backend's free pool, in free order.
+    std::vector<CachedSlot> Frees;
+    /// Frees.size(), published for pendingRemoteFrees().  Counters are
+    /// atomic because other threads read them (stats()) while the owner
+    /// runs; only the owner writes them.
+    std::atomic<uint64_t> BufferedFrees{0};
     std::atomic<uint64_t> Allocations{0};
     std::atomic<uint64_t> BytesRequested{0};
+  };
+
+  /// Backend-lock contention and free-batch counters (all written only
+  /// while the lock is held).
+  struct LockStats {
+    /// Acquisitions of the backend lock, both modes.
+    uint64_t Acquisitions = 0;
+    /// Acquisitions whose first try_lock failed (includes Parked).
+    uint64_t Spun = 0;
+    /// Acquisitions that exhausted the spin bound and blocked.
+    uint64_t Parked = 0;
+    /// Buffered frees applied at the owning thread's refill, at the
+    /// 4 × MagazineSize bound, and at a flush (explicit, flushAll, or
+    /// thread exit).
+    uint64_t FreesAtRefill = 0;
+    uint64_t FreesAtBound = 0;
+    uint64_t FreesAtFlush = 0;
   };
 
   explicit ConcurrentAllocator(
@@ -128,8 +165,9 @@ public:
   /// flushed back automatically at thread exit).
   void *allocate(size_t Size) override;
 
-  /// Lock-free remote free: resolve, claim, push.  Safe from any thread,
-  /// including threads that never allocated.
+  /// Resolve, claim and stamp lock-free, then buffer the slot in the
+  /// calling thread's cache (applied under the lock at the bound).  Safe
+  /// from any thread, including threads that never allocated.
   void deallocate(void *Ptr) override;
 
   const char *name() const override {
@@ -155,13 +193,12 @@ public:
   void *allocateFrom(ThreadCache &Cache, size_t Size,
                      ObjectRef *RefOut = nullptr);
 
-  /// Returns every magazine slot of \p Cache to the backend free pool
-  /// and drains all remote-free queues.
+  /// Applies \p Cache's buffered frees and returns every magazine slot of
+  /// it to the backend free pool.
   void flushCache(ThreadCache &Cache);
 
-  /// Flushes every cache and drains every queue.  Call at quiescence;
-  /// afterwards the backend's live count equals the program's live
-  /// objects exactly.
+  /// Flushes every cache.  Call at quiescence; afterwards the backend's
+  /// live count equals the program's live objects exactly.
   void flushAll();
 
   /// Installs the handler invoked on each detected corruption (canary
@@ -182,19 +219,30 @@ public:
 
   /// Times the backend lock was acquired, across all threads and both
   /// modes.  The bench divides by operations: the cached mode's whole
-  /// point is that this grows by ~2/MagazineSize per alloc/free pair
-  /// where the global-lock baseline pays 2 — a machine-independent
-  /// witness of the decontention that wall-clock numbers on a small host
-  /// can understate.
+  /// point is that this grows by ~1/MagazineSize per alloc/free pair (a
+  /// refill per MagazineSize allocations, which also applies the
+  /// thread's frees; a thread that only frees locks once per 4 ×
+  /// MagazineSize) where the global-lock baseline pays 2 — a
+  /// machine-independent witness of the decontention that wall-clock
+  /// numbers on a small host can understate.
   uint64_t backendLockAcquires() const {
-    return LockAcquires.load(std::memory_order_relaxed);
+    return Counters.Acquisitions.load(std::memory_order_relaxed);
   }
 
-  /// Frees pushed but not yet drained (hint; exact under quiescence).
-  uint64_t pendingRemoteFrees() const {
-    const int64_t N = PendingRemote.load(std::memory_order_relaxed);
-    return N > 0 ? static_cast<uint64_t>(N) : 0;
-  }
+  /// Lock contention and free-batch counters (lock-free snapshot; exact
+  /// under quiescence).
+  LockStats lockStats() const;
+
+  /// Frees claimed but still buffered in some thread's cache, not yet
+  /// back in the free pool (a hint while threads run; exact under
+  /// quiescence).
+  uint64_t pendingRemoteFrees() const;
+
+  /// Caches the calling thread has registered for its exit-time flush.
+  /// Entries of destroyed allocators are pruned whenever the thread
+  /// registers a new one, so this stays at most live + 1 for a thread
+  /// that creates and destroys allocators in turn.
+  static size_t threadRegistrySize();
 
   /// The shared backend, for tests and heap-image capture.  Quiescence
   /// required; flushAll() first for exact live accounting.
@@ -205,12 +253,19 @@ public:
   const Canary &canary() const { return HeapCanary; }
 
 private:
-  /// Drains every miniheap's remote-free queue into the backend
-  /// (BackendLock held).  Returns the number of slots freed.
-  uint64_t drainRemoteFrees();
+  using CachedSlot = ThreadCache::CachedSlot;
 
-  /// Tops up one magazine under the backend lock: drain first, then
-  /// draw, so every queued free is back in the lottery before any draw.
+  /// Returns one claimed slot to the backend free pool, with DieFast's
+  /// neighbor sweep and canary fill (BackendLock held).
+  void applyFree(const CachedSlot &Free);
+
+  /// Applies \p Cache's buffered frees in free order and counts them in
+  /// \p AppliedAt (BackendLock held).
+  void applyFrees(ThreadCache &Cache, std::atomic<uint64_t> &AppliedAt);
+
+  /// Tops up one magazine under the backend lock: apply the cache's own
+  /// buffered frees first, then draw, so every free this thread made is
+  /// back in the lottery before it draws.
   void refill(ThreadCache &Cache, unsigned ClassIndex);
 
   /// flushCache body with BackendLock already held.
@@ -223,20 +278,21 @@ private:
 
   void signalError(ErrorSignalKind Kind, const ObjectRef &Where);
 
-  /// Takes the backend lock, counts the acquisition, and re-syncs the
-  /// backend clock to the front-end clock.
+  /// Takes the backend lock (spinning briefly before parking), counts
+  /// the acquisition, and re-syncs the backend clock to the front-end
+  /// clock.
   std::unique_lock<std::mutex> lockBackend();
 
   ConcurrentAllocatorConfig Cfg;
   const CallContext *Context;
   DieHardHeap Backend;
-  /// Canary-mode randomness (drain-time fills); seeded exactly like
-  /// DieFastHeap's so MagazineSize == 1 reproduces its placements.
+  /// Canary-mode randomness (fills as frees are applied); seeded exactly
+  /// like DieFastHeap's so MagazineSize == 1 reproduces its placements.
   RandomGenerator CanaryRng;
   Canary HeapCanary;
   ErrorSignalHandler OnError;
 
-  /// Serializes every backend mutation: refills, drains, flushes,
+  /// Serializes every backend mutation: refills, free batches, flushes,
   /// baseline-mode operations.
   mutable std::mutex BackendLock;
   /// Guards AllCaches (creation + stats aggregation).  Lock order:
@@ -245,12 +301,15 @@ private:
   std::vector<std::unique_ptr<ThreadCache>> AllCaches;
 
   /// Front-end allocation clock; object ids are fetch_add'ed from it
-  /// without the lock.
-  std::atomic<uint64_t> Clock{0};
-  /// Queued-but-undrained frees (drain-skip hint; may transiently read
-  /// negative while a drain races a push's counter increment).
-  std::atomic<int64_t> PendingRemote{0};
-  std::atomic<uint64_t> LockAcquires{0};
+  /// without the lock.  Every allocating thread read-modify-writes it,
+  /// so it gets a cache line of its own, and the lock-held counters
+  /// below get another.
+  alignas(CacheLineBytes) std::atomic<uint64_t> Clock{0};
+  /// LockStats, written under the lock and read lock-free.
+  struct alignas(CacheLineBytes) {
+    std::atomic<uint64_t> Acquisitions{0}, Spun{0}, Parked{0};
+    std::atomic<uint64_t> FreesAtRefill{0}, FreesAtBound{0}, FreesAtFlush{0};
+  } Counters;
   std::atomic<uint64_t> ErrorsSignalled{0};
   /// Lock-free-path free errors (the backend's counters only see frees
   /// that reach it).
@@ -260,10 +319,6 @@ private:
   /// Identifies this instance across reuse of its address (thread-exit
   /// flushes check it against the live-instance registry).
   uint64_t InstanceId;
-
-  /// Scratch for drainRemoteFrees (lock-held; avoids per-drain
-  /// allocation).
-  std::vector<size_t> DrainScratch;
 
   /// Aggregation target for stats().
   mutable AllocatorStats Aggregated;

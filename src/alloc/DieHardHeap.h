@@ -258,8 +258,8 @@ public:
         Callback(C, H, *Classes[C].Heaps[H]);
   }
 
-  /// Mutable visit (the concurrent front-end drains per-miniheap
-  /// remote-free queues; callers hold the backend lock).
+  /// Mutable visit (tests and tools that inspect slot state; concurrent
+  /// callers hold the backend lock).
   template <typename CallbackT> void forEachMiniheap(CallbackT Callback) {
     for (unsigned C = 0; C < Classes.size(); ++C)
       for (unsigned H = 0; H < Classes[C].Heaps.size(); ++H)
@@ -310,9 +310,13 @@ private:
   /// True when any byte of \p Heap's slot \p Slot lies on a retired page.
   bool slotOnRetiredPage(const Miniheap &Heap, size_t Slot) const;
 
-  DieHardConfig Config;
+  // Layout for the concurrent front-end, whose lock holder rewrites the
+  // base-class Stats, Rng, Clock and LiveObjects on every draw and free
+  // while other threads read Config (resolvePointer), Slabs and the page
+  // directory lock-free: each group starts its own cache line.
+  alignas(CacheLineBytes) DieHardConfig Config;
   const CallContext *Context;
-  RandomGenerator Rng;
+  alignas(CacheLineBytes) RandomGenerator Rng;
   std::vector<ClassState> Classes;
   uint64_t Clock = 0;
   size_t LiveObjects = 0;
@@ -345,7 +349,7 @@ private:
   /// Append-only copy of every slab in registration order; stable ids for
   /// the page directory.  reserve(MaxSlabs) in the constructor pins the
   /// storage so concurrent directory hits never race a reallocation.
-  std::vector<Range> Slabs;
+  alignas(CacheLineBytes) std::vector<Range> Slabs;
 
   static constexpr unsigned PageShift = 12;
   /// Sentinel for a page overlapped by more than one slab's object

@@ -5,6 +5,7 @@
 #include "alloc/SizeClass.h"
 
 #include <bit>
+#include <cstddef>
 #include <cstring>
 
 using namespace exterminator;
@@ -15,6 +16,21 @@ Miniheap::Miniheap(unsigned SizeClassIndex, size_t NumSlots,
       ObjectSize(sizeclass::classSize(SizeClassIndex)),
       ObjectShift(std::countr_zero(ObjectSize)), NumSlots(NumSlots),
       CreationTime(CreationTime) {
+  // The layout pin (offsetof needs member access, hence here): none of
+  // the fields the lock-free paths read on every call may reach the cache
+  // line InUse starts on.
+  constexpr size_t InUseLine =
+      offsetof(Miniheap, InUse) / CacheLineBytes * CacheLineBytes;
+  constexpr auto EndsBeforeInUse = [](size_t Offset, size_t Size) {
+    return Offset + Size <= InUseLine;
+  };
+  static_assert(
+      EndsBeforeInUse(offsetof(Miniheap, ObjectSize), sizeof(ObjectSize)) &&
+          EndsBeforeInUse(offsetof(Miniheap, Slab), sizeof(Slab)) &&
+          EndsBeforeInUse(offsetof(Miniheap, Metadata), sizeof(Metadata)) &&
+          EndsBeforeInUse(offsetof(Miniheap, PendingFreeWords),
+                          sizeof(PendingFreeWords)),
+      "Miniheap::InUse shares a cache line with lock-free-read fields");
   assert(NumSlots > 0 && "miniheap must have at least one slot");
   // Guard regions on both sides absorb forward overflows off the last
   // slot and backward overflows off the first (the sparse address space

@@ -23,7 +23,6 @@
 #define EXTERMINATOR_ALLOC_MINIHEAP_H
 
 #include "support/Bitmap.h"
-#include "support/MpscQueue.h"
 #include "support/SiteHash.h"
 
 #include <atomic>
@@ -68,6 +67,10 @@ struct SlotMetadata {
 static_assert(sizeof(SlotMetadata) <= 40,
               "SlotMetadata grew past five words; placement-op cache "
               "behavior regresses (see ROADMAP open items)");
+
+/// Cache-line size the concurrent layouts pad to (x86-64 and most
+/// AArch64 parts).
+inline constexpr size_t CacheLineBytes = 64;
 
 /// A slab of NumSlots objects of one size class.
 class Miniheap {
@@ -122,16 +125,15 @@ public:
     return Metadata[Slot];
   }
 
-  /// \name Remote-free support (concurrent front-end, PR 7)
+  /// \name Lock-free free claims (concurrent front-end)
   /// A free from a thread that does not hold the backend lock claims the
-  /// slot's *pending-free* bit, pushes a node into this miniheap's queue,
-  /// and returns; the bit makes the claim exclusive, so double frees from
-  /// racing threads are detected without the lock, and the slot cannot be
-  /// enqueued twice.  The owner drains the queue under the lock and
-  /// clears the bit only when the slot is next committed — between drain
-  /// and commit the slot is free (or quarantined) and a stale free
-  /// attempt must keep bouncing off the set bit rather than scribble a
-  /// queue node into memory it no longer owns.
+  /// slot's *pending-free* bit and buffers the slot in its own thread
+  /// cache; the bit makes the claim exclusive, so double frees from
+  /// racing threads are detected without the lock, and the slot cannot
+  /// be buffered twice.  The freeing thread applies its buffer under the
+  /// lock, and the bit clears only when the slot is next committed —
+  /// between the apply and the commit the slot is free (or quarantined)
+  /// and a stale free attempt must keep bouncing off the set bit.
   /// @{
 
   /// Atomically claims the pending-free bit for \p Slot.  Returns true
@@ -153,12 +155,12 @@ public:
     PendingFreeWords[Slot >> 6].fetch_and(~Bit, std::memory_order_release);
   }
 
-  /// This miniheap's remote-free queue (drained under the backend lock).
-  MpscQueue &remoteFreeQueue() { return RemoteFrees; }
-
   /// @}
 
 private:
+  // Everything up to InUse is written once, at construction, and read
+  // lock-free by every thread on every allocation and free (hand-out,
+  // pointer resolution, the claim, the free-site stamp).
   unsigned SizeClassIndex;
   size_t ObjectSize;
   unsigned ObjectShift;
@@ -166,14 +168,17 @@ private:
   size_t NumSlots;
   uint64_t CreationTime;
   std::unique_ptr<uint8_t[]> Slab;
-  Bitmap InUse;
   std::unique_ptr<SlotMetadata[]> Metadata;
   /// One pending-free bit per slot (see claimPendingFree); value-
   /// initialized to zero.  Kept separate from InUse, which stays a plain
   /// bitmap owned by the lock holder.
   std::unique_ptr<std::atomic<uint64_t>[]> PendingFreeWords;
-  /// Frees pushed by threads not holding the backend lock.
-  MpscQueue RemoteFrees;
+  /// The in-use bitmap's count is rewritten under the backend lock on
+  /// every draw and free.  Sharing a line with the fields above would
+  /// make every lock-holder write evict them from the other cores that
+  /// are resolving and claiming lock-free, so it sits alone on the last
+  /// line (asserted in Miniheap.cpp).
+  alignas(CacheLineBytes) Bitmap InUse;
 };
 
 } // namespace exterminator

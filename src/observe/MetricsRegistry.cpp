@@ -3,6 +3,7 @@
 #include "observe/MetricsRegistry.h"
 
 #include "alloc/Allocator.h"
+#include "alloc/ConcurrentAllocator.h"
 #include "alloc/DieHardHeap.h"
 #include "codec/BlockCodec.h"
 #include "inject/FaultInjector.h"
@@ -282,6 +283,30 @@ void exterminator::registerAllocatorMetrics(MetricsRegistry &Registry,
                                 double(S.DoubleFrees));
     MetricsRegistry::addCounter(Out, "xterm_alloc_bytes_requested_total",
                                 Labels, double(S.BytesRequested));
+  });
+}
+
+void exterminator::registerFrontEndMetrics(MetricsRegistry &Registry,
+                                           const ConcurrentAllocator &Alloc,
+                                           std::string Label) {
+  std::string Labels = MetricsRegistry::label("heap", Label);
+  Registry.addCollector([&Alloc, Labels = std::move(Labels)](
+                            std::vector<MetricSample> &Out) {
+    const ConcurrentAllocator::LockStats S = Alloc.lockStats();
+    MetricsRegistry::addCounter(Out, "xterm_alloc_lock_acquires_total", Labels,
+                                double(S.Acquisitions));
+    MetricsRegistry::addCounter(Out, "xterm_alloc_lock_spun_total", Labels,
+                                double(S.Spun));
+    MetricsRegistry::addCounter(Out, "xterm_alloc_lock_parked_total", Labels,
+                                double(S.Parked));
+    const std::pair<const char *, uint64_t> Applied[] = {
+        {"refill", S.FreesAtRefill},
+        {"bound", S.FreesAtBound},
+        {"flush", S.FreesAtFlush}};
+    for (const auto &[At, N] : Applied)
+      MetricsRegistry::addCounter(
+          Out, "xterm_alloc_frees_applied_total",
+          Labels + "," + MetricsRegistry::label("at", At), double(N));
   });
 }
 

@@ -226,6 +226,21 @@ private:
 void registerAllocatorMetrics(MetricsRegistry &Registry, const Allocator &Heap,
                               std::string Label);
 
+class ConcurrentAllocator;
+
+/// Registers a pull collector exporting \p Alloc's front-end lock
+/// contention (labelled heap="<Label>"): xterm_alloc_lock_acquires_total,
+/// xterm_alloc_lock_spun_total (acquisitions whose first try failed),
+/// xterm_alloc_lock_parked_total (acquisitions that blocked after the
+/// spin bound), and xterm_alloc_frees_applied_total split by
+/// at="refill|bound|flush" — where buffered frees went back into the
+/// lottery.  The counters are written only under the allocator's lock, so
+/// the scrape costs the allocation paths nothing.  \p Alloc must outlive
+/// the registry's last snapshot.
+void registerFrontEndMetrics(MetricsRegistry &Registry,
+                             const ConcurrentAllocator &Alloc,
+                             std::string Label);
+
 class FaultInjector;
 
 /// Registers a pull collector exporting \p Injector's FaultInjectorStats

@@ -11,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <map>
 #include <set>
 #include <thread>
@@ -572,8 +575,9 @@ TEST(BaselineAllocator, ManyCycles) {
 //===----------------------------------------------------------------------===//
 
 TEST(ConcurrentAllocator, MagazineOfOneMatchesDirectBackend) {
-  // With one-slot magazines and a single cache, the front-end refills on
-  // every allocation and drains every queued free before drawing, so the
+  // With one-slot magazines and a single cache — the one this thread's
+  // frees are buffered in — the front-end refills on every allocation
+  // and applies every buffered free, in order, before drawing, so the
   // backend sees the exact operation sequence a direct DieHardHeap would:
   // the placement stream must match slot for slot, and the clocks must
   // agree at the end.
@@ -581,7 +585,7 @@ TEST(ConcurrentAllocator, MagazineOfOneMatchesDirectBackend) {
   Cfg.Heap = testConfig(21);
   Cfg.MagazineSize = 1;
   ConcurrentAllocator Front(Cfg);
-  ConcurrentAllocator::ThreadCache &Cache = Front.createCache();
+  ConcurrentAllocator::ThreadCache &Cache = Front.threadCache();
   DieHardHeap Direct(testConfig(21));
 
   RandomGenerator Ops(777);
@@ -618,7 +622,7 @@ TEST(ConcurrentAllocator, MagazineOfOneWithCanariesMatchesDieFast) {
   Cfg.CanaryFillProbability = 1.0;
   Cfg.ZeroFillAllocations = true;
   ConcurrentAllocator Front(Cfg);
-  ConcurrentAllocator::ThreadCache &Cache = Front.createCache();
+  ConcurrentAllocator::ThreadCache &Cache = Front.threadCache();
 
   DieFastConfig Reference;
   Reference.Heap = testConfig(22);
@@ -693,7 +697,7 @@ TEST(ConcurrentAllocator, PlacementThroughCachesIsUniform) {
 
 TEST(ConcurrentAllocator, CrossThreadFreesDrainExactlyOnce) {
   // Four workers with cross-thread handoffs: every allocation is freed
-  // exactly once (remote or local), every free drains exactly once, and
+  // exactly once (remote or local), every free is applied exactly once, and
   // after a flush the backend's books balance to zero live objects with
   // no double or invalid frees recorded.
   ConcurrentAllocatorConfig Cfg;
@@ -725,8 +729,8 @@ TEST(ConcurrentAllocator, CrossThreadFreesDrainExactlyOnce) {
 
 TEST(ConcurrentAllocator, CanaryStateSurvivesConcurrentChurn) {
   // DieFast semantics under contention: no false corruption reports, and
-  // after quiescence every freed-and-drained slot (FreeTime > 0) holds an
-  // intact canary — the fill-at-drain path left exactly the state the
+  // after quiescence every freed-and-applied slot (FreeTime > 0) holds an
+  // intact canary — the fill-at-apply path left exactly the state the
   // single-threaded heap would have.
   ConcurrentAllocatorConfig Cfg;
   Cfg.Heap = testConfig(92);
@@ -755,7 +759,7 @@ TEST(ConcurrentAllocator, CanaryStateSurvivesConcurrentChurn) {
       const SlotMetadata &Meta = Mini.slot(Slot);
       if (Meta.FreeTime == 0)
         continue; // Never freed (or never allocated).
-      ASSERT_TRUE(Meta.Canaried) << "p = 1 fill skipped a drained slot";
+      ASSERT_TRUE(Meta.Canaried) << "p = 1 fill skipped an applied slot";
       ASSERT_TRUE(Alloc.canary().verify(Mini.slotPointer(Slot),
                                         Mini.objectSize()))
           << "canary damaged in class " << Mini.objectSize() << " slot "
@@ -775,12 +779,12 @@ TEST(ConcurrentAllocator, CorruptedCanaryIsQuarantinedOnCachedPath) {
   Cfg.MagazineSize = 4;
   Cfg.DieFastCanaries = true;
   ConcurrentAllocator Alloc(Cfg);
-  ConcurrentAllocator::ThreadCache &Cache = Alloc.createCache();
+  ConcurrentAllocator::ThreadCache &Cache = Alloc.threadCache();
 
   void *Doomed = Alloc.allocateFrom(Cache, 16);
   ASSERT_NE(Doomed, nullptr);
   Alloc.deallocate(Doomed);
-  Alloc.flushCache(Cache); // Drain: the slot is canary-filled now.
+  Alloc.flushCache(Cache); // Apply the free: the slot is canary-filled now.
   static_cast<uint8_t *>(Doomed)[3] ^= 0xff; // The dangling write.
 
   std::vector<void *> Kept;
@@ -839,7 +843,7 @@ TEST(ConcurrentAllocator, LockAcquisitionsAreAmortizedByMagazines) {
   Cached.Heap = testConfig(55);
   Cached.MagazineSize = Magazine;
   ConcurrentAllocator Fast(Cached);
-  ConcurrentAllocator::ThreadCache &Cache = Fast.createCache();
+  ConcurrentAllocator::ThreadCache &Cache = Fast.threadCache();
   std::vector<void *> Ptrs;
   Ptrs.reserve(N);
   for (uint64_t I = 0; I < N; ++I) {
@@ -850,8 +854,9 @@ TEST(ConcurrentAllocator, LockAcquisitionsAreAmortizedByMagazines) {
   for (void *Ptr : Ptrs)
     Fast.deallocate(Ptr);
   Fast.flushCache(Cache);
-  // Refills lock once per Magazine allocations; frees lock never (the
-  // flush drains them all in one acquisition).  Allow slack for growth.
+  // Refills lock once per Magazine allocations; frees lock once per
+  // 4 x Magazine (the batch bound), and the flush applies what is left in
+  // one acquisition.  Allow slack for growth.
   EXPECT_LT(Fast.backendLockAcquires(), 2 * N / Magazine + 16);
   EXPECT_EQ(Fast.backend().liveObjectCount(), 0u);
 
@@ -867,10 +872,193 @@ TEST(ConcurrentAllocator, LockAcquisitionsAreAmortizedByMagazines) {
   EXPECT_EQ(Slow.backendLockAcquires(), 2 * N);
 }
 
+TEST(ConcurrentAllocator, FreeOnlyThreadReturnsSlotsAtBoundAndAtExit) {
+  // A thread that only frees never refills, so its buffered frees must
+  // re-enter the lottery on their own: all at once when the batch reaches
+  // 4 x MagazineSize, and the remainder when the thread exits.
+  ConcurrentAllocatorConfig Cfg;
+  Cfg.Heap = testConfig(33);
+  Cfg.MagazineSize = 8;
+  ConcurrentAllocator Alloc(Cfg);
+  constexpr size_t Bound = 4 * 8;
+  constexpr size_t Extra = 5;
+  ConcurrentAllocator::ThreadCache &Cache = Alloc.threadCache();
+  std::vector<void *> Ptrs;
+  for (size_t I = 0; I < Bound + Extra; ++I)
+    Ptrs.push_back(Alloc.allocateFrom(Cache, 48));
+  Alloc.flushCache(Cache); // Unconsumed magazine slots go back.
+  ASSERT_EQ(Alloc.backend().liveObjectCount(), Bound + Extra);
+
+  std::mutex Lock;
+  std::condition_variable Turn;
+  int Stage = 0;
+  const auto AdvanceTo = [&](int Next) {
+    {
+      std::lock_guard<std::mutex> Guard(Lock);
+      Stage = Next;
+    }
+    Turn.notify_all();
+  };
+  const auto AwaitStage = [&](int Want) {
+    std::unique_lock<std::mutex> Guard(Lock);
+    Turn.wait(Guard, [&] { return Stage == Want; });
+  };
+
+  std::thread Consumer([&] {
+    size_t Next = 0;
+    for (; Next < Bound - 1; ++Next)
+      Alloc.deallocate(Ptrs[Next]);
+    AdvanceTo(1);
+    AwaitStage(2);
+    Alloc.deallocate(Ptrs[Next++]); // Reaches the bound.
+    AdvanceTo(3);
+    AwaitStage(4);
+    for (; Next < Ptrs.size(); ++Next)
+      Alloc.deallocate(Ptrs[Next]);
+  });
+
+  AwaitStage(1);
+  EXPECT_EQ(Alloc.pendingRemoteFrees(), Bound - 1);
+  EXPECT_EQ(Alloc.backend().liveObjectCount(), Bound + Extra)
+      << "a free below the bound was applied early";
+  AdvanceTo(2);
+  AwaitStage(3);
+  EXPECT_EQ(Alloc.pendingRemoteFrees(), 0u);
+  EXPECT_EQ(Alloc.backend().liveObjectCount(), Extra);
+  EXPECT_EQ(Alloc.lockStats().FreesAtBound, Bound);
+  AdvanceTo(4);
+  Consumer.join(); // Thread exit applies the rest.
+
+  EXPECT_EQ(Alloc.pendingRemoteFrees(), 0u);
+  EXPECT_EQ(Alloc.backend().liveObjectCount(), 0u);
+  EXPECT_EQ(Alloc.lockStats().FreesAtFlush, Extra);
+  const AllocatorStats &S = Alloc.stats();
+  EXPECT_EQ(S.Deallocations, Bound + Extra);
+  EXPECT_EQ(S.DoubleFrees, 0u);
+}
+
+TEST(ConcurrentAllocator, DoubleFreeOfBufferedSlotBouncesOffPendingBit) {
+  // A slot still sitting in the freeing thread's batch is not yet free in
+  // the backend; a second free must bounce off its pending-free bit
+  // rather than be buffered twice.
+  ConcurrentAllocatorConfig Cfg;
+  Cfg.Heap = testConfig(34);
+  Cfg.MagazineSize = 8;
+  ConcurrentAllocator Alloc(Cfg);
+  ConcurrentAllocator::ThreadCache &Cache = Alloc.threadCache();
+
+  void *Ptr = Alloc.allocateFrom(Cache, 32);
+  ASSERT_NE(Ptr, nullptr);
+  Alloc.deallocate(Ptr);
+  EXPECT_EQ(Alloc.pendingRemoteFrees(), 1u);
+  Alloc.deallocate(Ptr);
+  EXPECT_EQ(Alloc.pendingRemoteFrees(), 1u) << "double free was buffered";
+
+  Alloc.flushCache(Cache);
+  EXPECT_EQ(Alloc.pendingRemoteFrees(), 0u);
+  EXPECT_EQ(Alloc.backend().liveObjectCount(), 0u);
+  const AllocatorStats &S = Alloc.stats();
+  EXPECT_EQ(S.Deallocations, 1u);
+  EXPECT_EQ(S.DoubleFrees, 1u);
+}
+
+TEST(ConcurrentAllocator, PendingRemoteFreesCountsBufferedFrees) {
+  // The count is exact under quiescence: it rises with each buffered
+  // free, holds while the magazine still has slots, and returns to zero
+  // when the next refill applies the batch before it draws.
+  ConcurrentAllocatorConfig Cfg;
+  Cfg.Heap = testConfig(35);
+  Cfg.MagazineSize = 4;
+  ConcurrentAllocator Alloc(Cfg);
+  ConcurrentAllocator::ThreadCache &Cache = Alloc.threadCache();
+
+  std::vector<void *> Ptrs;
+  for (int I = 0; I < 10; ++I) // Three refills; two slots stay cached.
+    Ptrs.push_back(Alloc.allocateFrom(Cache, 64));
+  EXPECT_EQ(Alloc.pendingRemoteFrees(), 0u);
+  for (size_t I = 0; I < Ptrs.size(); ++I) {
+    Alloc.deallocate(Ptrs[I]);
+    EXPECT_EQ(Alloc.pendingRemoteFrees(), I + 1);
+  }
+  void *A = Alloc.allocateFrom(Cache, 64);
+  void *B = Alloc.allocateFrom(Cache, 64);
+  EXPECT_EQ(Alloc.pendingRemoteFrees(), 10u) << "no refill, no apply";
+  EXPECT_EQ(Alloc.backend().liveObjectCount(), 12u);
+  void *C = Alloc.allocateFrom(Cache, 64); // Refill: apply, then draw.
+  EXPECT_EQ(Alloc.pendingRemoteFrees(), 0u);
+  EXPECT_EQ(Alloc.lockStats().FreesAtRefill, 10u);
+  EXPECT_EQ(Alloc.stats().Deallocations, 10u);
+
+  for (void *Ptr : {A, B, C})
+    Alloc.deallocate(Ptr);
+  EXPECT_EQ(Alloc.pendingRemoteFrees(), 3u);
+  Alloc.flushAll();
+  EXPECT_EQ(Alloc.pendingRemoteFrees(), 0u);
+  EXPECT_EQ(Alloc.backend().liveObjectCount(), 0u);
+}
+
+TEST(ConcurrentAllocator, ThreadRegistryPrunesDestroyedAllocators) {
+  // Every free looks up the calling thread's cache in its registry, so
+  // the registry must not keep an entry per allocator the thread ever
+  // touched: dead ones go when the next one registers.
+  size_t MostEntries = 0;
+  std::thread Worker([&] {
+    for (uint64_t I = 0; I < 1000; ++I) {
+      ConcurrentAllocatorConfig Cfg;
+      Cfg.Heap = testConfig(I);
+      Cfg.MagazineSize = 1;
+      ConcurrentAllocator Alloc(Cfg);
+      void *Ptr = Alloc.allocate(16);
+      ASSERT_NE(Ptr, nullptr);
+      Alloc.deallocate(Ptr);
+      MostEntries =
+          std::max(MostEntries, ConcurrentAllocator::threadRegistrySize());
+    }
+  });
+  Worker.join();
+  // One live allocator at a time, plus the dead predecessor not yet
+  // pruned.
+  EXPECT_GE(MostEntries, 1u);
+  EXPECT_LE(MostEntries, 2u);
+}
+
+namespace {
+
+/// Frees its pointer from a thread_local destructor.  Constructed before
+/// the thread's first allocation, it is destroyed after the front-end's
+/// per-thread registry, so its free arrives with no cache to buffer in.
+struct FreeAtThreadExit {
+  ConcurrentAllocator *Alloc = nullptr;
+  void *Ptr = nullptr;
+  ~FreeAtThreadExit() {
+    if (Alloc)
+      Alloc->deallocate(Ptr);
+  }
+};
+thread_local FreeAtThreadExit LateFree;
+
+} // namespace
+
+TEST(ConcurrentAllocator, FreeAfterThreadRegistryTeardownIsApplied) {
+  ConcurrentAllocatorConfig Cfg;
+  Cfg.Heap = testConfig(36);
+  Cfg.MagazineSize = 8;
+  ConcurrentAllocator Alloc(Cfg);
+  std::thread Worker([&] {
+    LateFree.Alloc = &Alloc; // Registers LateFree's destructor first.
+    LateFree.Ptr = Alloc.allocate(64);
+    EXPECT_NE(LateFree.Ptr, nullptr);
+  });
+  Worker.join();
+  EXPECT_EQ(Alloc.pendingRemoteFrees(), 0u);
+  EXPECT_EQ(Alloc.backend().liveObjectCount(), 0u);
+  EXPECT_EQ(Alloc.stats().Deallocations, 1u);
+}
+
 TEST(ConcurrentAllocator, ThreadExitFlushesItsCache) {
   // A thread that allocates implicitly (allocate() -> TLS cache) and
   // exits must leave nothing behind: its magazines return to the free
-  // pool and its queued frees drain, all from the TLS destructor.
+  // pool and its buffered frees are applied, all from the TLS destructor.
   ConcurrentAllocatorConfig Cfg;
   Cfg.Heap = testConfig(31);
   Cfg.MagazineSize = 16;
@@ -938,7 +1126,7 @@ TEST(PageRetirement, ForeignPageRetiresNothing) {
 
 TEST(PageRetirement, MagazinePathHonorsRetirement) {
   // The concurrent front-end's magazines pre-draw slots; retirement must
-  // hold through refills, remote-free drains, and cache flushes.
+  // hold through refills, buffered-free batches, and cache flushes.
   ConcurrentAllocatorConfig Cfg;
   Cfg.Heap = testConfig(88);
   Cfg.MagazineSize = 8;
@@ -952,7 +1140,7 @@ TEST(PageRetirement, MagazinePathHonorsRetirement) {
       reinterpret_cast<uintptr_t>(Ptrs[3]) & ~uintptr_t(0xfff);
   Front.backend().retirePage(Page);
 
-  // Lock-free frees of retired-page objects drain into quarantine.
+  // Buffered frees of retired-page objects are applied into quarantine.
   for (void *Ptr : Ptrs)
     Front.deallocate(Ptr);
   // Flush returns reserved magazine slots: retired ones must not rejoin.

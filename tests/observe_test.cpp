@@ -13,6 +13,7 @@
 #include "observe/AlertEngine.h"
 #include "observe/MetricsRegistry.h"
 
+#include "alloc/ConcurrentAllocator.h"
 #include "alloc/DieHardHeap.h"
 #include "diefast/DieFastHeap.h"
 #include "inject/FaultInjector.h"
@@ -198,6 +199,50 @@ TEST(MetricsRegistry, AllocatorAdapterExportsHeapStats) {
       Snap.find("xterm_alloc_bytes_requested_total", Labels);
   ASSERT_NE(Bytes, nullptr);
   EXPECT_EQ(Bytes->Value, 64.0);
+}
+
+TEST(MetricsRegistry, FrontEndAdapterExportsLockContention) {
+  MetricsRegistry Registry;
+  ConcurrentAllocatorConfig Cfg;
+  Cfg.MagazineSize = 2;
+  ConcurrentAllocator Alloc(Cfg);
+  registerFrontEndMetrics(Registry, Alloc, "mt");
+
+  // Nine allocations take five two-slot refills (no frees to apply yet);
+  // the eighth buffered free reaches the 4 x MagazineSize bound, and the
+  // flush applies the ninth.
+  ConcurrentAllocator::ThreadCache &Cache = Alloc.threadCache();
+  std::vector<void *> Ptrs;
+  for (int I = 0; I < 9; ++I)
+    Ptrs.push_back(Alloc.allocateFrom(Cache, 32));
+  for (void *Ptr : Ptrs)
+    Alloc.deallocate(Ptr);
+  Alloc.flushCache(Cache);
+
+  const MetricsSnapshot Snap = Registry.snapshot();
+  const std::string Labels = MetricsRegistry::label("heap", "mt");
+  const auto Value = [&](const char *Name, const std::string &L) {
+    const MetricSample *S = Snap.find(Name, L);
+    EXPECT_NE(S, nullptr) << Name << "{" << L << "}";
+    if (S) {
+      EXPECT_EQ(S->Kind, SampleKind::Counter) << Name;
+    }
+    return S ? S->Value : -1.0;
+  };
+  const auto At = [&](const char *Where) {
+    return Labels + "," + MetricsRegistry::label("at", Where);
+  };
+  // Five refills, one bound apply, one flush.
+  EXPECT_EQ(Value("xterm_alloc_lock_acquires_total", Labels), 7.0);
+  EXPECT_EQ(Value("xterm_alloc_lock_acquires_total", Labels),
+            double(Alloc.backendLockAcquires()));
+  // One thread never waits.
+  EXPECT_EQ(Value("xterm_alloc_lock_spun_total", Labels), 0.0);
+  EXPECT_EQ(Value("xterm_alloc_lock_parked_total", Labels), 0.0);
+  EXPECT_EQ(Value("xterm_alloc_frees_applied_total", At("refill")), 0.0);
+  EXPECT_EQ(Value("xterm_alloc_frees_applied_total", At("bound")), 8.0);
+  EXPECT_EQ(Value("xterm_alloc_frees_applied_total", At("flush")), 1.0);
+  EXPECT_EQ(Alloc.stats().Deallocations, 9u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -2,7 +2,6 @@
 
 #include "support/Bitmap.h"
 #include "support/FlatU64Map.h"
-#include "support/MpscQueue.h"
 #include "support/PageTable.h"
 #include "support/RandomGenerator.h"
 #include "support/Executor.h"
@@ -382,94 +381,6 @@ TEST(PageTable, ConcurrentLookupDuringGrowth) {
   EXPECT_EQ(Table.size(), N);
   for (uintptr_t Page = 1; Page <= N; ++Page)
     ASSERT_EQ(Table.lookup(Page), static_cast<uint32_t>(Page * 7));
-}
-
-//===----------------------------------------------------------------------===//
-// MpscQueue
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-struct QueueTestNode {
-  MpscNode Link; // first member: node pointer == payload pointer
-  unsigned Producer = 0;
-  uint64_t Sequence = 0;
-};
-
-} // namespace
-
-TEST(MpscQueue, DrainOnEmptyReturnsNull) {
-  MpscQueue Queue;
-  EXPECT_TRUE(Queue.empty());
-  EXPECT_EQ(Queue.drainAll(), nullptr);
-  // Still usable after an empty drain.
-  QueueTestNode Node;
-  Queue.push(&Node.Link);
-  EXPECT_FALSE(Queue.empty());
-  EXPECT_EQ(Queue.drainAll(), &Node.Link);
-  EXPECT_TRUE(Queue.empty());
-  EXPECT_EQ(Queue.drainAll(), nullptr);
-}
-
-TEST(MpscQueue, SingleProducerDrainsInFifoOrder) {
-  MpscQueue Queue;
-  QueueTestNode Nodes[16];
-  for (uint64_t I = 0; I < 16; ++I) {
-    Nodes[I].Sequence = I;
-    Queue.push(&Nodes[I].Link);
-  }
-  uint64_t Expected = 0;
-  for (MpscNode *Node = Queue.drainAll(); Node; Node = Node->Next) {
-    const auto *Payload = reinterpret_cast<const QueueTestNode *>(Node);
-    EXPECT_EQ(Payload->Sequence, Expected++);
-  }
-  EXPECT_EQ(Expected, 16u);
-}
-
-TEST(MpscQueue, MultiProducerStressKeepsPerProducerFifoAndLosesNothing) {
-  // 4 producers push pre-allocated tagged nodes while the consumer
-  // drains concurrently until all arrive.  Checks: no node lost or
-  // duplicated, and each producer's nodes arrive in push order even
-  // though drains interleave with pushes.
-  constexpr unsigned Producers = 4;
-  constexpr uint64_t PerProducer = 20000;
-  MpscQueue Queue;
-
-  std::vector<std::vector<QueueTestNode>> Nodes(Producers);
-  for (unsigned P = 0; P < Producers; ++P) {
-    Nodes[P].resize(PerProducer);
-    for (uint64_t I = 0; I < PerProducer; ++I) {
-      Nodes[P][I].Producer = P;
-      Nodes[P][I].Sequence = I;
-    }
-  }
-
-  std::vector<std::thread> Threads;
-  for (unsigned P = 0; P < Producers; ++P)
-    Threads.emplace_back([&, P] {
-      for (uint64_t I = 0; I < PerProducer; ++I)
-        Queue.push(&Nodes[P][I].Link);
-    });
-
-  uint64_t Received = 0;
-  uint64_t NextSequence[Producers] = {};
-  uint64_t OrderViolations = 0;
-  while (Received < Producers * PerProducer) {
-    for (MpscNode *Node = Queue.drainAll(); Node; Node = Node->Next) {
-      const auto *Payload = reinterpret_cast<const QueueTestNode *>(Node);
-      if (Payload->Sequence != NextSequence[Payload->Producer]++)
-        ++OrderViolations;
-      ++Received;
-    }
-  }
-  for (std::thread &Producer : Threads)
-    Producer.join();
-
-  EXPECT_EQ(OrderViolations, 0u);
-  EXPECT_EQ(Received, Producers * PerProducer);
-  for (unsigned P = 0; P < Producers; ++P)
-    EXPECT_EQ(NextSequence[P], PerProducer);
-  EXPECT_EQ(Queue.drainAll(), nullptr);
 }
 
 //===----------------------------------------------------------------------===//
